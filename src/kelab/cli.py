@@ -1,7 +1,8 @@
 """Command-line runner.
 
 Exit codes: 0 success, 1 configuration/validation problem, 2 solver
-non-convergence, 3 I/O failure.  Set KELAB_THREADS to cap the BLAS thread
+failure (non-convergence or a limit that cannot be extracted or does not
+match the endpoints), 3 I/O failure.  Set KELAB_THREADS to cap the BLAS thread
 pools before numpy is imported.
 """
 import os
@@ -13,7 +14,7 @@ if "KELAB_THREADS" in os.environ:
 
 import argparse
 
-from .errors import ConvergenceError, ValidationError
+from .errors import KelabError, ValidationError
 from .pipeline import RunConfig, load_config, run_full_pipeline, run_ke_solve, run_spectrum
 
 EXIT_OK = 0
@@ -88,7 +89,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
+    except KelabError as exc:  # convergence, trivial limit, endpoint mismatch
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as exc:

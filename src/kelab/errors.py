@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: validation errors exit 1, convergence
-failures exit 2, I/O problems exit 3.
+The CLI maps these onto exit codes: validation errors exit 1, every other
+package error (convergence, trivial limit, endpoint mismatch) exits 2, I/O
+problems exit 3.
 """
 
 

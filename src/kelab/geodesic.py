@@ -21,7 +21,10 @@ Three solvers live here:
   u_tt u_ss - u_ts^2 = eps h''(s), second-order tensor stencils, Dirichlet
   rows in t, slope clamps in s (the outermost columns ride the linear
   asymptotic extension of the adjacent node), and a convexity guard in the
-  line search.
+  line search.  Its linear solves are Newton-Krylov with a lagged
+  factorisation: one sparse LU, in a fill-reducing minimum-degree order,
+  preconditions GMRES on later Jacobians (and on the next epsilon of a
+  sweep) until GMRES needs more than ``_KRYLOV_CAP`` iterations.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import ConvergenceError, ValidationError
 from .geometry import (
@@ -49,6 +52,10 @@ _PIN_U0 = 2.0 * math.log(2.0)
 # one-sided first/second derivative stencils, fourth-order
 _D1_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _D2_EDGE = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
+
+# GMRES iterations (one restart cycle) a lagged factor may take on a Newton
+# step before it is dropped and the current Jacobian is factored afresh
+_KRYLOV_CAP = 30
 
 
 def _interp_row(xs: np.ndarray, x0: float, order: int) -> np.ndarray:
@@ -304,18 +311,6 @@ class SpacetimePotential:
         return j
 
 
-def time_derivative(spacetime: SpacetimePotential) -> np.ndarray:
-    from .functionals import time_derivatives
-
-    return time_derivatives(spacetime.values, spacetime.dt)[0]
-
-
-def second_time_derivative(spacetime: SpacetimePotential) -> np.ndarray:
-    from .functionals import time_derivatives
-
-    return time_derivatives(spacetime.values, spacetime.dt)[1]
-
-
 def legendre_path(
     u0: ReducedPotential, u1: ReducedPotential, m: int,
     background: ReducedPotential | None = None,
@@ -369,6 +364,39 @@ def _clamp_increments(inc0: float, inc1: float, linear_part: float, t_grid):
     return (1.0 - t_grid) * inc0 + t_grid * inc1
 
 
+class LaggedLU:
+    """The one live sparse LU of an epsilon-Newton solve.
+
+    Newton steps reuse it as the GMRES preconditioner of later Jacobians, and
+    ``solve_epsilon_sweep`` hands it from one epsilon to the next.  The old
+    factor is released before a new one is built, so at most one factor's
+    fill is alive at a time.
+    """
+
+    def __init__(self):
+        self.lu = None
+
+    def refactor(self, mat):
+        self.lu = None
+        self.lu = splu(mat, permc_spec="MMD_AT_PLUS_A")
+        return self.lu
+
+
+def _lagged_krylov(jac, rhs, lu, rtol: float, atol: float):
+    """GMRES on jac x = rhs preconditioned by a lagged factor ``lu``.
+
+    Returns (x or None, iterations); None when one restart cycle of
+    ``_KRYLOV_CAP`` iterations does not reach max(rtol ||rhs||, atol).
+    """
+    residuals = []
+    x, info = gmres(
+        jac, rhs, rtol=rtol, atol=atol, restart=_KRYLOV_CAP, maxiter=1,
+        M=LinearOperator(jac.shape, lu.solve), callback=residuals.append,
+        callback_type="pr_norm",
+    )
+    return (x if info == 0 else None), len(residuals)
+
+
 def solve_epsilon_geodesic(
     u0: ReducedPotential,
     u1: ReducedPotential,
@@ -379,6 +407,7 @@ def solve_epsilon_geodesic(
     initial: SpacetimePotential | None = None,
     max_iter: int = 80,
     full_output: bool = False,
+    factor: LaggedLU | None = None,
 ):
     """Damped Newton for the epsilon-approximation geodesic.
 
@@ -392,6 +421,14 @@ def solve_epsilon_geodesic(
     that lose fiber convexity are rejected by the line search; convergence
     from the exact-geodesic start is quadratic after at most a few damped
     steps.
+
+    Each Newton direction comes from GMRES preconditioned by the last LU
+    held in ``factor`` (a fresh ``LaggedLU`` when None), to the forcing
+    tolerance min(1e-6, residual) relative or a tenth of the residual
+    target absolute; when GMRES misses it within ``_KRYLOV_CAP`` iterations
+    the Jacobian is factored afresh and solved directly.  Ridge retries are
+    always factored afresh.  ``info`` (``full_output``) counts the Newton
+    iterations, factorisations and GMRES iterations.
     """
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
@@ -486,16 +523,29 @@ def solve_epsilon_geodesic(
     # rejects a direction and decays afterwards, so the quadratic tail is
     # untouched.
     ridge = 0.0
+    if factor is None:
+        factor = LaggedLU()
+    n_lu = n_krylov = 0
     while rnorm > target and it < max_iter:
         jac = assemble(dtt, dss, dts)
         diag = jac.diagonal()
+        rhs = -res.ravel()
         accepted = False
         while not accepted:
+            step = None
             if ridge > 0.0:
-                lu = splu((jac + sp.diags(ridge * diag)).tocsc())
+                jac_r = (jac + sp.diags(ridge * diag)).tocsc()
             else:
-                lu = splu(jac)
-            delta = lu.solve(-res.ravel()).reshape(mi, ni)
+                jac_r = jac
+                if factor.lu is not None and factor.lu.shape == jac.shape:
+                    step, k = _lagged_krylov(
+                        jac, rhs, factor.lu, min(1e-6, rnorm), 0.1 * target
+                    )
+                    n_krylov += k
+            if step is None:
+                step = factor.refactor(jac_r).solve(rhs)
+                n_lu += 1
+            delta = step.reshape(mi, ni)
             alpha = 1.0
             while alpha > 2.0 ** -40:
                 cand = U.copy()
@@ -535,7 +585,10 @@ def solve_epsilon_geodesic(
     if np.min(det) <= 0.0 or np.min(_interior_dss(U, ds)) <= 0.0:
         raise ConvergenceError("solution lost space-time positivity")
     if full_output:
-        return out, {"iterations": it, "residual": rnorm, "history": history}
+        return out, {
+            "iterations": it, "residual": rnorm, "history": history,
+            "factorizations": n_lu, "gmres_iterations": n_krylov,
+        }
     return out
 
 
@@ -546,17 +599,31 @@ def solve_epsilon_sweep(
     m: int,
     tol: float = 1e-10,
     background: ReducedPotential | None = None,
-) -> dict[float, SpacetimePotential]:
-    """Solve the schedule in decreasing order, warm-starting each solve."""
+    initial: SpacetimePotential | None = None,
+    full_output: bool = False,
+):
+    """Solve the schedule in decreasing order, warm-starting each solve.
+
+    The first solve starts from ``initial`` (the exact geodesic when None),
+    each later one from the previous solution and with its last LU as the
+    lagged factor.  Returns {eps: solution}, plus {eps: solver info} when
+    ``full_output``.
+    """
     eps_sorted = sorted((float(e) for e in eps_schedule), reverse=True)
     out: dict[float, SpacetimePotential] = {}
-    prev: SpacetimePotential | None = None
+    infos: dict[float, dict] = {}
+    prev = initial
+    factor = LaggedLU()
     for eps in eps_sorted:
-        sol = solve_epsilon_geodesic(
-            u0, u1, eps, m, tol=tol, background=background, initial=prev
+        sol, info = solve_epsilon_geodesic(
+            u0, u1, eps, m, tol=tol, background=background, initial=prev,
+            full_output=True, factor=factor,
         )
         out[eps] = sol
+        infos[eps] = info
         prev = sol
+    if full_output:
+        return out, infos
     return out
 
 

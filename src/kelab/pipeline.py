@@ -198,7 +198,9 @@ def run_full_pipeline(config: RunConfig) -> dict:
     leg_report = ding_derivatives(leg_path, leg_geoms)
     write_ding_csv(leg_report, os.path.join(out, "ding_legendre.csv"))
 
-    sweep = solve_epsilon_sweep(u0, u1, config.eps, config.m, tol=config.tol)
+    sweep, solver_info = solve_epsilon_sweep(
+        u0, u1, config.eps, config.m, tol=config.tol, initial=leg, full_output=True
+    )
     eps_desc = sorted(sweep, reverse=True)
     ding_reports = {}
     defect_terms = {}
@@ -321,6 +323,13 @@ def run_full_pipeline(config: RunConfig) -> dict:
             "holo_defect": {f"{e:.0e}": holo_series[e] for e in eps_desc},
             "holo_rate_exponent": holo_rate,
             "weak_product_gap": {f"{e:.0e}": weak_gaps[e] for e in eps_desc},
+            "eps_newton": {
+                f"{e:.0e}": {
+                    key: solver_info[e][key]
+                    for key in ("iterations", "factorizations", "gmres_iterations")
+                }
+                for e in eps_desc
+            },
         },
         "integrated_defect": {
             f"{e:.0e}": {"f_term": defect_terms[e][0], "delta_term": defect_terms[e][1]}

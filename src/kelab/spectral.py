@@ -84,8 +84,10 @@ def _refine_pair(diag, off, lam, y, steps=2):
         ab[2, :-1] = off
         try:
             z = solve_banded((1, 1), ab, y)
-        except np.linalg.LinAlgError:  # exactly singular shift: nudge it
-            ab[1] += 1e-14 * max(abs(lam), 1.0)
+        except np.linalg.LinAlgError:
+            # exactly singular shift: nudge it by a relative amount that
+            # survives rounding against the largest diagonal entry
+            ab[1] += 1e-14 * max(abs(lam), float(np.max(np.abs(diag))))
             z = solve_banded((1, 1), ab, y)
         if not np.all(np.isfinite(z)):
             return lam, y

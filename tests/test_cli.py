@@ -85,6 +85,36 @@ def test_spectrum_rejects_malformed_file(tmp_path):
     assert main(["spectrum", "--potential", str(missing), "--out", str(tmp_path)]) == 3
 
 
+def test_spectrum_on_exactly_singular_refinement_shift(tmp_path):
+    # the fifth seeded draw at n=257 hits an exactly singular inverse-iteration
+    # shift next to ~1e10 diagonal entries
+    grid = kl.SGrid(-15.0, 15.0, 257)
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        u = kl.random_convex_potential(grid, rng)
+    dump_json(u.to_dict(), tmp_path / "draw.json")
+    code = main(["spectrum", "--potential", str(tmp_path / "draw.json"),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    _, data = read_csv(tmp_path / "spectrum.csv")
+    assert abs(data[0, 1] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "error", [kl.EndpointMismatchError, kl.TrivialLimitError],
+)
+def test_pipeline_limit_errors_exit_as_solver_failure(tmp_path, monkeypatch, capsys, error):
+    import kelab.cli
+
+    def fail(config):
+        raise error("no automorphism matches the endpoints")
+
+    monkeypatch.setattr(kelab.cli, "run_full_pipeline", fail)
+    assert main(["pipeline", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no automorphism" in err
+
+
 def test_spectrum_rejects_large_k(tmp_path):
     out = tmp_path / "s2"
     assert main(["ke-solve", "--n", "129", "--out", str(out)]) == 0
@@ -111,6 +141,14 @@ def test_pipeline_report_schema(small_pipeline):
         "t", "lambda1", "defect", "C_t", "c", "holo_residual", "eigen_residual"
     }
     assert rep["tau"] == 0.5
+    newton = rep["convergence"]["eps_newton"]
+    assert set(newton) == {"1e-01", "3e-02", "1e-02"}
+    for counts in newton.values():
+        assert set(counts) == {"iterations", "factorizations", "gmres_iterations"}
+        assert all(isinstance(v, int) and v >= 0 for v in counts.values())
+    assert sum(c["factorizations"] for c in newton.values()) < sum(
+        c["iterations"] for c in newton.values()
+    )
     # small grids are coarse; the automorphism should still land within a few
     # percent of exp(tau/2)
     assert abs(rep["automorphism"]["a"] - np.exp(0.25)) < 0.05

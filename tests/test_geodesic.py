@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import kelab as kl
+import kelab.geodesic as geodesic
 from kelab.errors import ValidationError
 from kelab.functionals import time_derivatives
 from kelab.geodesic import (
+    LaggedLU,
     ke_residual,
     legendre_geodesic,
     load_spacetime,
@@ -187,6 +190,56 @@ def test_newton_quadratic_once_elliptic(ke_pair):
     for a, b in zip(below, below[1:]):
         if a > 1e-11:
             assert b < max(50.0 * a * a, 1e-12)
+
+
+@pytest.fixture(scope="module")
+def small_pair():
+    grid = kl.SGrid(-15.0, 15.0, 257)
+    u0 = solve_ke(grid)
+    return u0, kl.pullback_potential(u0, 0.5)
+
+
+def test_sweep_reuses_lagged_factor(small_pair, monkeypatch):
+    u0, u1 = small_pair
+    calls = []
+    real = geodesic.splu
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geodesic, "splu", counted)
+    sweep, infos = kl.solve_epsilon_sweep(
+        u0, u1, (1e-1, 1e-2, 1e-3), 33, full_output=True
+    )
+    steps = sum(info["iterations"] for info in infos.values())
+    assert len(calls) == sum(info["factorizations"] for info in infos.values())
+    assert len(calls) < steps
+    assert sum(info["gmres_iterations"] for info in infos.values()) > 0
+    for eps, sol in sweep.items():
+        assert infos[eps]["residual"] <= 1e-10
+        assert np.max(np.abs(monge_ampere_residual(sol))) <= 1e-10
+
+
+@pytest.mark.parametrize("size", ["same", "other"])
+def test_stale_factor_is_refactored(small_pair, size):
+    # a factor of an unrelated matrix: GMRES cannot use it (or its shape does
+    # not match), so the first step drops it and factors the Jacobian afresh
+    u0, u1 = small_pair
+    unknowns = 31 * 255 if size == "same" else 100
+    stale = LaggedLU()
+    old = stale.refactor(
+        sp.diags(np.linspace(1.0, 2.0, unknowns)).tocsc()
+    )
+    sol, info = solve_epsilon_geodesic(
+        u0, u1, 1e-2, 33, full_output=True, factor=stale
+    )
+    assert stale.lu is not old and stale.lu.shape == (31 * 255, 31 * 255)
+    assert info["factorizations"] >= 1
+    if size == "same":
+        assert info["gmres_iterations"] >= geodesic._KRYLOV_CAP
+    assert info["residual"] <= 1e-10
+    assert np.max(np.abs(monge_ampere_residual(sol))) <= 1e-10
 
 
 def test_chen_bounds_uniform(geodesic_suite):

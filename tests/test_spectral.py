@@ -14,6 +14,7 @@ from kelab.spectral import (
     energy_decomposition_residual,
     futaki_residual,
     split_box,
+    _refine_pair,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -254,3 +255,16 @@ def test_spectral_pack_serialization(fs_pack, tmp_path):
     d = load_json(path)
     assert d["k"] == 8 and len(d["eigenvalues"]) == 8
     assert d["coefficients"] == [0.5, 0.1]
+
+
+def test_refine_pair_exactly_singular_shift_at_large_scale():
+    # a measure-starved end block [[1e10 + 1, 1e10], [1e10, 1e10 + 1]] has
+    # the exact eigenvalue 1; the shifted matrix has a zero pivot, and a
+    # nudge scaled by |lambda| alone is lost against the 1e10 diagonal
+    diag = np.array([1e10 + 1.0, 1e10 + 1.0, 3.0, 4.0, 5.0, 6.0])
+    off = np.array([1e10, 0.0, 0.1, 0.1, 0.1])
+    y = np.array([1.0, -1.0, 1e-3, 0.0, 0.0, 0.0])
+    lam, z = _refine_pair(diag, off, 1.0, y / np.linalg.norm(y))
+    assert np.all(np.isfinite(z))
+    assert abs(abs(z[0] - z[1]) / math.sqrt(2.0) - 1.0) < 1e-12
+    assert abs(lam - 1.0) < 1e-5
