@@ -23,13 +23,9 @@ from .geometry import (
     derivative,
     fiber_geometry,
     second_derivative,
-)
-from .quadrature import (
-    dbar_norm_sq,
-    project_perp,
     trapezoid_weights,
-    weighted_integral,
 )
+from .quadrature import dbar_norm_sq, project_perp, weighted_integral
 from .serialize import write_csv
 
 
@@ -39,7 +35,7 @@ def aubin_mabuchi_energy(u: ReducedPotential, u0: ReducedPotential) -> float:
     if u.grid != u0.grid:
         raise ValidationError("energy requires both potentials on one grid")
     ds = u.grid.ds
-    c = trapezoid_weights(u.grid)
+    c = trapezoid_weights(u.grid.n, ds)
     upp = second_derivative(u.values, ds)
     upp0 = second_derivative(u0.values, ds)
     return TWO_PI * float(c @ ((u.values - u0.values) * 0.5 * (upp + upp0)))
@@ -164,7 +160,7 @@ def ding_derivatives(
     phi_p, phi_pp = time_derivatives(mt, dt)
     m = mt.shape[0]
     ds = path.fibers[0].grid.ds
-    c_q = trapezoid_weights(path.fibers[0].grid)
+    c_q = trapezoid_weights(path.fibers[0].grid.n, ds)
 
     energy = np.empty(m)
     f_vals = np.empty(m)
@@ -217,9 +213,7 @@ def integrated_defect(
     """
     if report is None:
         report = ding_derivatives(path, geoms)
-    t = report.t_grid
-    ct = np.full(t.size, path.dt)
-    ct[0] = ct[-1] = path.dt / 2.0
+    ct = trapezoid_weights(report.t_grid.size, path.dt)
     return float(ct @ report.int_f_exp), float(ct @ report.int_delta_exp)
 
 

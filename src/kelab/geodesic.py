@@ -29,6 +29,7 @@ Three solvers live here:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from .geometry import (
     evaluate_slope,
     fubini_study_potential,
     second_derivative,
+    trapezoid_weights,
 )
 from .serialize import dump_json, format_float, load_json
 
@@ -70,8 +72,7 @@ def _interp_row(xs: np.ndarray, x0: float, order: int) -> np.ndarray:
 def _quad_weights_tail(grid: SGrid) -> np.ndarray:
     """Trapezoid weights plus the exponential tail corrections rho(s_end)
     (the integrand e^{s-u} decays like e^{-|s|} with unit rate)."""
-    c = np.full(grid.n, grid.ds)
-    c[0] = c[-1] = grid.ds / 2.0
+    c = trapezoid_weights(grid.n, grid.ds)
     c[0] += 1.0
     c[-1] += 1.0
     return c
@@ -330,20 +331,20 @@ def legendre_path(
     )
 
 
-def monge_ampere_residual(spacetime: SpacetimePotential) -> np.ndarray:
-    """u_tt u_ss - u_ts^2 - eps h'' at interior nodes, shape (m-2, n-2)."""
-    U = spacetime.values
-    dt = spacetime.dt
-    ds = spacetime.grid.ds
-    hpp = second_derivative(spacetime.background.values, ds)
+def _spacetime_derivatives(U: np.ndarray, dt: float, ds: float):
+    """Central u_tt, u_ss and u_ts at the interior nodes, shape (m-2, n-2)."""
     dtt = (U[2:, 1:-1] - 2.0 * U[1:-1, 1:-1] + U[:-2, 1:-1]) / (dt * dt)
     dss = (U[1:-1, 2:] - 2.0 * U[1:-1, 1:-1] + U[1:-1, :-2]) / (ds * ds)
     dts = (U[2:, 2:] - U[2:, :-2] - U[:-2, 2:] + U[:-2, :-2]) / (4.0 * dt * ds)
+    return dtt, dss, dts
+
+
+def monge_ampere_residual(spacetime: SpacetimePotential) -> np.ndarray:
+    """u_tt u_ss - u_ts^2 - eps h'' at interior nodes, shape (m-2, n-2)."""
+    ds = spacetime.grid.ds
+    hpp = second_derivative(spacetime.background.values, ds)
+    dtt, dss, dts = _spacetime_derivatives(spacetime.values, spacetime.dt, ds)
     return dtt * dss - dts * dts - spacetime.epsilon * hpp[1:-1]
-
-
-def _interior_dss(U: np.ndarray, ds: float) -> np.ndarray:
-    return (U[1:-1, 2:] - 2.0 * U[1:-1, 1:-1] + U[1:-1, :-2]) / (ds * ds)
 
 
 def _clamp_increments(inc0: float, inc1: float, linear_part: float, t_grid):
@@ -467,12 +468,6 @@ def solve_epsilon_geodesic(
     mi, ni = m - 2, n - 2
     hin = hpp[1:-1]
 
-    def derivatives(Uc: np.ndarray):
-        dtt = (Uc[2:, 1:-1] - 2.0 * Uc[1:-1, 1:-1] + Uc[:-2, 1:-1]) / (dt * dt)
-        dss = (Uc[1:-1, 2:] - 2.0 * Uc[1:-1, 1:-1] + Uc[1:-1, :-2]) / (ds * ds)
-        dts = (Uc[2:, 2:] - Uc[2:, :-2] - Uc[:-2, 2:] + Uc[:-2, :-2]) / (4.0 * dt * ds)
-        return dtt, dss, dts
-
     # index helpers for sparse assembly; the eliminated boundary columns
     # redirect their stencil weight onto the adjacent interior column
     jj, ii = np.meshgrid(np.arange(mi), np.arange(ni), indexing="ij")
@@ -505,7 +500,7 @@ def solve_epsilon_geodesic(
         )
         return mat.tocsc()
 
-    dtt, dss, dts = derivatives(U)
+    dtt, dss, dts = _spacetime_derivatives(U, dt, ds)
     res = dtt * dss - dts * dts - epsilon * hin
     rnorm = float(np.max(np.abs(res)))
     target = max(min(tol, 1e-10), 3e-12)
@@ -551,10 +546,10 @@ def solve_epsilon_geodesic(
                 cand = U.copy()
                 cand[1:-1, 1:-1] += alpha * delta
                 cand = rebuild(cand)
-                if np.min(_interior_dss(cand, ds)) <= curv_floor:
+                dtt_n, dss_n, dts_n = _spacetime_derivatives(cand, dt, ds)
+                if np.min(dss_n) <= curv_floor:
                     alpha *= 0.5
                     continue
-                dtt_n, dss_n, dts_n = derivatives(cand)
                 res_new = dtt_n * dss_n - dts_n * dts_n - epsilon * hin
                 rnorm_new = float(np.max(np.abs(res_new)))
                 if rnorm_new < (1.0 - 1e-4 * alpha) * rnorm:
@@ -579,11 +574,10 @@ def solve_epsilon_geodesic(
         raise ConvergenceError(
             f"geodesic Newton did not converge (eps={epsilon}, residual {rnorm:.3e})"
         )
-    out = SpacetimePotential(t_grid, grid, U, epsilon, background)
     # space-time convexity must hold at every interior node
-    det = monge_ampere_residual(out) + epsilon * hin
-    if np.min(det) <= 0.0 or np.min(_interior_dss(U, ds)) <= 0.0:
+    if np.min(dtt * dss - dts * dts) <= 0.0 or np.min(dss) <= 0.0:
         raise ConvergenceError("solution lost space-time positivity")
+    out = SpacetimePotential(t_grid, grid, U, epsilon, background)
     if full_output:
         return out, {
             "iterations": it, "residual": rnorm, "history": history,
@@ -686,12 +680,15 @@ def verify_chen_bounds(solutions: dict[float, SpacetimePotential]) -> ChenBounds
 
 
 def save_spacetime(spacetime: SpacetimePotential, json_path, csv_path) -> None:
+    """Write the JSON header and the CSV payload; the header names the payload
+    relative to its own directory, so the pair can be moved together."""
+    header_dir = os.path.dirname(os.path.abspath(json_path))
     header = {
         "t_grid": {"m": int(spacetime.t_grid.size)},
         "grid": spacetime.grid.to_dict(),
         "epsilon": float(spacetime.epsilon),
         "background": spacetime.background.to_dict(),
-        "payload": str(csv_path),
+        "payload": os.path.relpath(os.path.abspath(csv_path), header_dir),
     }
     dump_json(header, json_path)
     with open(csv_path, "w") as fh:
@@ -702,7 +699,8 @@ def save_spacetime(spacetime: SpacetimePotential, json_path, csv_path) -> None:
 def load_spacetime(json_path, csv_path=None) -> SpacetimePotential:
     header = load_json(json_path)
     if csv_path is None:
-        csv_path = header["payload"]
+        header_dir = os.path.dirname(os.path.abspath(json_path))
+        csv_path = os.path.join(header_dir, header["payload"])
     values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
     m = int(header["t_grid"]["m"])
     grid = SGrid.from_dict(header["grid"])

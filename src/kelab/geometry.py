@@ -8,6 +8,20 @@ anticanonical measure exp(-phi) to the weight w = exp(s - u).  Fiber
 integrals over the sphere carry a factor 2*pi from the collapsed angular
 direction.
 
+A fiber's ``FiberGeometry`` also owns the two discrete objects every
+weighted integral and the weighted Laplacian are built from, each computed
+once per fiber: the trapezoid mass weights mu (sum f*mu = int f w ds) and the
+half-point conductance p of the gradient energy
+<dbar f, dbar f> = 2*pi * int (f')^2 / u'' * w ds, realized as the Dirichlet
+form sum p_{i+1/2} (f_{i+1}-f_i)^2 / ds.  The conductance p ~ w/u'' is not
+sampled directly: it is reconstructed from the flux recurrence that makes the
+slope field u' - 1 an exact discrete eigenfunction of the weighted Laplacian
+with eigenvalue exactly 1.  That exactness is what keeps the spectral defect
+form positive semidefinite at round-off level, which several nonnegativity
+checks rely on; the price is that p rolls off over the last few
+(measure-starved) columns near the truncated ends instead of tracking w/u''
+pointwise there.
+
 All types are immutable; the operations are pure functions, so fibers can be
 processed in parallel without locking.
 """
@@ -15,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
@@ -67,6 +81,13 @@ def _frozen(values) -> np.ndarray:
     a = np.array(values, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Composite trapezoid weights of n uniform samples at spacing h."""
+    c = np.full(n, h)
+    c[0] = c[-1] = h / 2.0
+    return c
 
 
 def derivative(values: np.ndarray, ds: float) -> np.ndarray:
@@ -142,17 +163,63 @@ class ReducedPotential:
 
 @dataclass(frozen=True)
 class FiberGeometry:
-    """Per-metric derived data: u'', Ricci potential, weighted measure."""
+    """Per-metric derived data: u'', Ricci potential, weighted measure, and
+    the mass weights ``mu`` and conductance ``p`` computed from them (see the
+    module docstring).  Raises PositivityError if the conductance is not
+    strictly positive."""
 
     grid: SGrid
     u_pp: np.ndarray
     F: np.ndarray
     w: np.ndarray
     mass: float
+    mu: np.ndarray = field(init=False, compare=False, repr=False)
+    p: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("u_pp", "F", "w"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        mu = trapezoid_weights(self.grid.n, self.grid.ds) * self.w
+        object.__setattr__(self, "mu", _frozen(mu))
+        object.__setattr__(self, "p", _frozen(dirichlet_conductance(self)[0]))
+
+
+def unit_eigenmode(geom: FiberGeometry) -> np.ndarray:
+    """Discrete slope field u' - 1 = -(log w)', shifted to weighted mean zero.
+
+    This is the vector the conductance construction turns into an exact
+    eigenfunction with eigenvalue 1.
+    """
+    g = -derivative(np.log(geom.w), geom.grid.ds)
+    return g - float(geom.mu @ g) / float(geom.mu.sum())
+
+
+def dirichlet_conductance(geom: FiberGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Half-point conductance p and nodal mass weights mu for the fiber.
+
+    p is defined by the flux recurrence p_{i+1/2} (g_{i+1}-g_i)/ds =
+    -sum_{j<=i} mu_j g_j with g the mean-zero slope field; the closure at the
+    right end is exactly the mean-zero condition.  Raises if the reconstructed
+    conductance is not strictly positive (non-convex or under-resolved data).
+    ``FiberGeometry`` calls this once and keeps p as ``geom.p``.
+    """
+    mu = geom.mu
+    g = unit_eigenmode(geom)
+    dg = np.diff(g)
+    bad = np.nonzero(dg <= 0.0)[0]
+    if bad.size:
+        raise PositivityError(
+            f"slope field not increasing at half-point {int(bad[0])}",
+            index=int(bad[0]),
+        )
+    flux = -np.cumsum(mu * g)[:-1]
+    bad = np.nonzero(flux <= 0.0)[0]
+    if bad.size:
+        raise PositivityError(
+            f"non-positive conductance at half-point {int(bad[0])}",
+            index=int(bad[0]),
+        )
+    return flux * geom.grid.ds / dg, mu
 
 
 def fubini_study_potential(grid: SGrid) -> ReducedPotential:
@@ -239,9 +306,7 @@ def fiber_geometry(u: ReducedPotential) -> FiberGeometry:
         raise PositivityError(f"u'' <= 0 at index {int(bad[0])}", index=int(bad[0]))
     F = s - u.values - np.log(upp)
     w = np.exp(s - u.values)
-    cw = np.full(grid.n, grid.ds)
-    cw[0] = cw[-1] = grid.ds / 2.0
-    mass = TWO_PI * float(cw @ w)
+    mass = TWO_PI * float(trapezoid_weights(grid.n, grid.ds) @ w)
     wmax = float(w.max())
     if w[0] > 1e-6 * wmax or w[-1] > 1e-6 * wmax:
         # constant message so the warnings module deduplicates repeat hits

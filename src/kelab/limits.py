@@ -32,6 +32,7 @@ from .geometry import (
     fiber_geometry,
     pullback_potential,
     second_derivative,
+    trapezoid_weights,
 )
 from .quadrature import (
     dbar_norm_sq,
@@ -61,15 +62,6 @@ class FiberRecord:
     defect: float                # dbar_sq - velocity_norm_sq
     defect_spectral: float       # sum (lambda_i - 1) |a_i|^2 over computed modes
 
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "coefficients": [float(c) for c in self.coefficients],
-            "mass": self.mass,
-            "defect": self.defect,
-        }
-
 
 @dataclass(frozen=True)
 class EpsilonTrace:
@@ -98,9 +90,8 @@ def fiber_decompose(
     """Expand pi_perp phi' at time t in the fiber's own eigenbasis."""
     j = solution.time_index(t)
     phi_p = time_derivatives(solution.values, solution.dt)[0][j]
-    fiber = solution.fiber(j)
     if geom is None:
-        geom = fiber_geometry(fiber)
+        geom = fiber_geometry(solution.fiber(j))
     op = assemble_weighted_laplacian(geom)
     pack = eigendecompose(op, geom, k)
     pperp = project_perp(phi_p, geom)
@@ -190,16 +181,6 @@ class ClusterReport:
     eigenvalue_gaps: np.ndarray  # gaps at the smallest epsilon
     unit_multiplicity: int       # eigenvalue-1 cluster size at the smallest epsilon
     n_clusters: int
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "k_to_one": self.k_to_one,
-            "cluster_bounds": list(self.cluster_bounds),
-            "truncation_index": self.truncation_index,
-            "unit_multiplicity": self.unit_multiplicity,
-            "n_clusters": self.n_clusters,
-        }
 
 
 def cluster_analysis(
@@ -315,16 +296,6 @@ class ExtractedField:
     eigen_residual: float
     norm_sq: float
     trivial: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "c": self.c,
-            "holo_residual": self.holo_residual,
-            "eigen_residual": self.eigen_residual,
-            "norm_sq": self.norm_sq,
-            "trivial": self.trivial,
-        }
 
 
 def extract_vector_field(
@@ -469,19 +440,18 @@ def distributional_product_gap(
     field held fixed:  gap(eps) = max_chi | int (u_ss(eps) - u_ss) h chi ds |.
     Returns the per-epsilon gaps; they should shrink with epsilon.
     """
-    limit_geom = fiber_geometry(limit_potential)
     grid = limit_potential.grid
     s = grid.nodes()
     ds = grid.ds
+    upp_limit = second_derivative(limit_potential.values, ds)
     centers = np.linspace(-4.0, 4.0, n_tests)
     tests = [1.0 / np.cosh(s - c) for c in centers]
-    c_q = np.full(grid.n, ds)
-    c_q[0] = c_q[-1] = ds / 2.0
+    c_q = trapezoid_weights(grid.n, ds)
     gaps: dict[float, float] = {}
     for eps in sorted(solutions, reverse=True):
         sol = solutions[eps]
         fiber = sol.fiber(sol.time_index(t))
-        diff = (second_derivative(fiber.values, ds) - limit_geom.u_pp) * field.h
+        diff = (second_derivative(fiber.values, ds) - upp_limit) * field.h
         gaps[eps] = max(abs(float(c_q @ (diff * chi))) for chi in tests)
     return gaps
 

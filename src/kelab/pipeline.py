@@ -93,24 +93,43 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ValidationError("config must be a JSON object")
+        unknown = sorted(set(d) - set(_PARSERS))
+        if unknown:
+            raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
         kw = {}
-        for key in ("n", "m", "seed", "k"):
-            if key in d:
-                kw[key] = int(d[key])
-        for key in ("tau", "tol"):
-            if key in d:
-                kw[key] = float(d[key])
-        if "s_range" in d:
-            kw["s_range"] = tuple(d["s_range"])
-        if "eps" in d:
-            kw["eps"] = tuple(d["eps"])
-        if "out" in d:
-            kw["out"] = str(d["out"])
+        for key, value in d.items():
+            try:
+                kw[key] = _PARSERS[key](value)
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"config {key}: cannot parse {value!r}") from None
         return cls(**kw)
 
 
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+def _float_pair(values) -> tuple:
+    pair = _floats(values)
+    if len(pair) != 2:
+        raise ValueError("need two values")
+    return pair
+
+
+_PARSERS = {
+    "n": int, "m": int, "seed": int, "k": int, "tau": float, "tol": float,
+    "s_range": _float_pair, "eps": _floats, "out": str,
+}
+
+
 def load_config(path) -> RunConfig:
-    return RunConfig.from_dict(load_json(path))
+    try:
+        d = load_json(path)
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise ValidationError(f"malformed config file {path}: {exc}") from None
+    return RunConfig.from_dict(d)
 
 
 def _ensure_outdir(config: RunConfig) -> str:
@@ -193,19 +212,22 @@ def run_full_pipeline(config: RunConfig) -> dict:
 
     # stage 2: exact geodesic and the epsilon sweep
     leg = legendre_path(u0, u1, config.m)
+    sweep, solver_info = solve_epsilon_sweep(
+        u0, u1, config.eps, config.m, tol=config.tol, initial=leg, full_output=True
+    )
+    # fiber geometries are built only after the sweep, whose sparse LU sets
+    # the run's peak memory
     leg_path = PathOfPotentials.from_spacetime(leg, u0)
     leg_geoms = [fiber_geometry(f) for f in leg_path.fibers]
     leg_report = ding_derivatives(leg_path, leg_geoms)
     write_ding_csv(leg_report, os.path.join(out, "ding_legendre.csv"))
 
-    sweep, solver_info = solve_epsilon_sweep(
-        u0, u1, config.eps, config.m, tol=config.tol, initial=leg, full_output=True
-    )
     eps_desc = sorted(sweep, reverse=True)
     ding_reports = {}
     defect_terms = {}
     sup_dev = {}
     pde_residuals = {}
+    eps_geoms = {}
     for eps in eps_desc:
         sol = sweep[eps]
         tag = f"{eps:.0e}"
@@ -215,7 +237,7 @@ def run_full_pipeline(config: RunConfig) -> dict:
             os.path.join(out, f"spacetime_eps_{tag}.csv"),
         )
         p = PathOfPotentials.from_spacetime(sol, u0)
-        geoms = [fiber_geometry(f) for f in p.fibers]
+        geoms = eps_geoms[eps] = [fiber_geometry(f) for f in p.fibers]
         rep = ding_derivatives(p, geoms)
         ding_reports[eps] = rep
         write_ding_csv(rep, os.path.join(out, f"ding_eps_{tag}.csv"))
@@ -232,8 +254,11 @@ def run_full_pipeline(config: RunConfig) -> dict:
     t_grid = np.linspace(0.0, 1.0, config.m)
     sol_min = sweep[eps_desc[-1]]
     traces = {}
-    for t in t_grid:
-        recs = [lim.fiber_decompose(sweep[e], float(t), config.k) for e in eps_desc]
+    for j, t in enumerate(t_grid):
+        recs = [
+            lim.fiber_decompose(sweep[e], float(t), config.k, eps_geoms[e][j])
+            for e in eps_desc
+        ]
         traces[float(t)] = lim.EpsilonTrace(float(t), tuple(recs))
     g_table = np.stack(
         [ding_reports[e].int_f_exp + ding_reports[e].int_delta_exp for e in eps_desc]

@@ -1,37 +1,23 @@
 """Weighted integrals, inner products and gradient energies on one fiber.
 
 All integrals are against the anticanonical measure 2*pi * w(s) ds with
-w = exp(s - u).  Quadrature is composite trapezoid, matching the
-second-order differencing used elsewhere so that discrete integration by
-parts closes.
-
-The gradient energy <dbar f, dbar f> = 2*pi * int (f')^2 / u'' * w ds is
-realized as a half-point Dirichlet form sum p_{i+1/2} (f_{i+1}-f_i)^2 / ds.
-The conductance p ~ w/u'' is not sampled directly: it is reconstructed from
-the flux recurrence that makes the slope field u' - 1 an exact discrete
-eigenfunction of the weighted Laplacian with eigenvalue exactly 1.  That
-exactness is what keeps the spectral defect form positive semidefinite at
-round-off level, which several nonnegativity checks rely on; the price is
-that p rolls off over the last few (measure-starved) columns near the
-truncated ends instead of tracking w/u'' pointwise there.
+w = exp(s - u).  Quadrature is composite trapezoid (the fiber's mass weights
+``geom.mu``), matching the second-order differencing used elsewhere so that
+discrete integration by parts closes.  The gradient energy is the Dirichlet
+form of the fiber's half-point conductance ``geom.p``; how that conductance
+is built is explained in :mod:`kelab.geometry`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import PositivityError
-from .geometry import TWO_PI, FiberGeometry, derivative
-
-
-def trapezoid_weights(grid) -> np.ndarray:
-    c = np.full(grid.n, grid.ds)
-    c[0] = c[-1] = grid.ds / 2.0
-    return c
-
-
-def mass_weights(geom: FiberGeometry) -> np.ndarray:
-    """Nodal weights mu_i with sum f*mu = int f w ds (trapezoid)."""
-    return trapezoid_weights(geom.grid) * geom.w
+from .geometry import (  # noqa: F401  (the last three are re-exported)
+    TWO_PI,
+    FiberGeometry,
+    dirichlet_conductance,
+    trapezoid_weights,
+    unit_eigenmode,
+)
 
 
 def weighted_integral(f: np.ndarray, geom: FiberGeometry) -> float:
@@ -39,7 +25,7 @@ def weighted_integral(f: np.ndarray, geom: FiberGeometry) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape != geom.w.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {geom.w.shape}")
-    return TWO_PI * float(mass_weights(geom) @ f)
+    return TWO_PI * float(geom.mu @ f)
 
 
 def inner_product(f: np.ndarray, g: np.ndarray, geom: FiberGeometry) -> float:
@@ -50,58 +36,10 @@ def inner_product(f: np.ndarray, g: np.ndarray, geom: FiberGeometry) -> float:
 def project_perp(f: np.ndarray, geom: FiberGeometry) -> np.ndarray:
     """Subtract the weighted mean: the result integrates to zero exactly."""
     f = np.asarray(f, dtype=float)
-    mu = mass_weights(geom)
-    return f - float(mu @ f) / float(mu.sum())
-
-
-def unit_eigenmode(geom: FiberGeometry) -> np.ndarray:
-    """Discrete slope field u' - 1 = -(log w)', shifted to weighted mean zero.
-
-    This is the vector the conductance construction turns into an exact
-    eigenfunction with eigenvalue 1.
-    """
-    g = -derivative(np.log(geom.w), geom.grid.ds)
-    mu = mass_weights(geom)
-    return g - float(mu @ g) / float(mu.sum())
-
-
-def dirichlet_conductance(geom: FiberGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Half-point conductance p and nodal mass weights mu for the fiber.
-
-    p is defined by the flux recurrence p_{i+1/2} (g_{i+1}-g_i)/ds =
-    -sum_{j<=i} mu_j g_j with g the mean-zero slope field; the closure at the
-    right end is exactly the mean-zero condition.  Raises if the reconstructed
-    conductance is not strictly positive (non-convex or under-resolved data).
-    """
-    mu = mass_weights(geom)
-    g = unit_eigenmode(geom)
-    dg = np.diff(g)
-    bad = np.nonzero(dg <= 0.0)[0]
-    if bad.size:
-        raise PositivityError(
-            f"slope field not increasing at half-point {int(bad[0])}",
-            index=int(bad[0]),
-        )
-    flux = -np.cumsum(mu * g)[:-1]
-    bad = np.nonzero(flux <= 0.0)[0]
-    if bad.size:
-        raise PositivityError(
-            f"non-positive conductance at half-point {int(bad[0])}",
-            index=int(bad[0]),
-        )
-    p = flux * geom.grid.ds / dg
-    return p, mu
+    return f - float(geom.mu @ f) / float(geom.mu.sum())
 
 
 def dbar_norm_sq(f: np.ndarray, geom: FiberGeometry) -> float:
     """Squared gradient norm 2*pi * int (f')^2/u'' w ds (Dirichlet form)."""
-    f = np.asarray(f, dtype=float)
-    p, _ = dirichlet_conductance(geom)
-    df = np.diff(f)
-    return TWO_PI * float(p @ (df * df)) / geom.grid.ds
-
-
-def dbar_inner(f: np.ndarray, g: np.ndarray, geom: FiberGeometry) -> float:
-    """Polarized Dirichlet form 2*pi * int f' g'/u'' w ds."""
-    p, _ = dirichlet_conductance(geom)
-    return TWO_PI * float(p @ (np.diff(f) * np.diff(g))) / geom.grid.ds
+    df = np.diff(np.asarray(f, dtype=float))
+    return TWO_PI * float(geom.p @ (df * df)) / geom.grid.ds

@@ -6,8 +6,9 @@ the measure 2*pi w ds, reduced to the Sturm-Liouville form
     (box f)(s) = -(1/w) d/ds( (w/u'') df/ds ),
 
 discretized in flux form on half-points (zero-flux ends).  The conductance
-comes from :func:`kelab.quadrature.dirichlet_conductance`, so the discrete
-spectrum contains the eigenvalue 1 exactly, carried by the slope field.
+is the fiber's ``FiberGeometry.p`` (built in :mod:`kelab.geometry`), so the
+discrete spectrum contains the eigenvalue 1 exactly, carried by the slope
+field.
 """
 from __future__ import annotations
 
@@ -18,13 +19,9 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import ConvergenceError, ValidationError
 from .geometry import TWO_PI, FiberGeometry, derivative
-from .quadrature import (
-    dbar_norm_sq,
-    dirichlet_conductance,
-    inner_product,
-    project_perp,
-    weighted_integral,
-)
+from .quadrature import dbar_norm_sq, inner_product, project_perp, weighted_integral
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -34,7 +31,6 @@ class WeightedLaplacianOp:
     grid: object
     p_half: np.ndarray
     mass: np.ndarray
-    boundary: str = "zero-flux"
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
@@ -45,13 +41,9 @@ class WeightedLaplacianOp:
         out[-1] = flux[-1]
         return out / self.mass
 
-    def matmul(self, f: np.ndarray) -> np.ndarray:
-        return self.apply(f)
-
 
 def assemble_weighted_laplacian(geom: FiberGeometry) -> WeightedLaplacianOp:
-    p, mu = dirichlet_conductance(geom)
-    return WeightedLaplacianOp(geom.grid, p, mu)
+    return WeightedLaplacianOp(geom.grid, geom.p, geom.mu)
 
 
 @dataclass(frozen=True)
@@ -61,12 +53,6 @@ class SpectralPack:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray  # shape (k, n)
     k: int
-
-    def to_dict(self, coefficients=None) -> dict:
-        d = {"k": self.k, "eigenvalues": [float(v) for v in self.eigenvalues]}
-        if coefficients is not None:
-            d["coefficients"] = [float(c) for c in coefficients]
-        return d
 
 
 def _refine_pair(diag, off, lam, y, steps=2):
@@ -122,7 +108,9 @@ def eigendecompose(op: WeightedLaplacianOp, geom: FiberGeometry, k: int) -> Spec
         vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k))
     except Exception as exc:  # pragma: no cover - LAPACK failure surface
         raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
-    if abs(vals[0]) > 1e-6 * max(1.0, abs(vals[1])):
+    # LAPACK resolves eigenvalues to O(eps * ||T||), and the measure-starved
+    # end columns push ||T|| to ~1e10 at n = 2049
+    if abs(vals[0]) > max(1e-6 * max(1.0, abs(vals[1])), 64.0 * _EPS * float(diag.max())):
         raise ConvergenceError(
             f"constant mode not resolved: lambda_0 = {vals[0]:.3e}"
         )
@@ -174,7 +162,7 @@ def split_box(f: np.ndarray, geom: FiberGeometry) -> tuple[np.ndarray, np.ndarra
 def _field_gradient_norm_sq(e: np.ndarray, geom: FiberGeometry) -> float:
     """2*pi int |h'|^2 w ds with h = e'/u'' taken at half-points."""
     ds = geom.grid.ds
-    p, mu = dirichlet_conductance(geom)
+    p, mu = geom.p, geom.mu
     w_half = np.sqrt(geom.w[:-1] * geom.w[1:])
     h_half = p * (np.diff(e) / ds) / w_half
     dh = np.diff(h_half) / ds

@@ -1,9 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import kelab as kl
+import kelab.geometry
+import kelab.quadrature
 from kelab.cli import main
 from kelab.serialize import dump_json, load_json, read_csv
 
@@ -229,6 +232,74 @@ def test_config_file_with_overrides(tmp_path):
     rep = load_json(out / "ke_report.json")
     assert rep["config"]["n"] == 129
     assert rep["config"]["tau"] == 0.3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": "abc", "m": 17}', "config n: cannot parse 'abc'"),
+        ('{"n": 129, "s_range": [-15, 0, 15]}', "config s_range: cannot parse"),
+        ('{"nn": 129}', "unknown config key(s): nn"),
+        ('{"n": 129, "m": 17', "malformed config file"),
+        ("[129, 17]", "config must be a JSON object"),
+    ],
+)
+def test_bad_config_file_is_validation_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["ke-solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_spectrum_round_metric_large_n(tmp_path):
+    # the measure-starved end columns push the largest tridiagonal entry to
+    # ~1e11 here; the constant-mode guard scales with LAPACK's error on it
+    grid = kl.SGrid(-15.0, 15.0, 4097)
+    dump_json(kl.fubini_study_potential(grid).to_dict(), tmp_path / "round.json")
+    code = main(["spectrum", "--potential", str(tmp_path / "round.json"),
+                 "--out", str(tmp_path)])
+    assert code == 0
+    _, data = read_csv(tmp_path / "spectrum.csv")
+    assert np.max(np.abs(data[:, 1] / (data[:, 0] * (data[:, 0] + 1) / 2) - 1)) < 1e-4
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` in every kelab namespace that binds it; returns
+    the list the wrapper appends to on each call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "kelab" or mod_name.startswith("kelab."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_pipeline_builds_one_geometry_per_fibre(tmp_path, monkeypatch):
+    geoms = _count_calls(monkeypatch, kelab.geometry, "fiber_geometry")
+    conds = _count_calls(monkeypatch, kelab.quadrature, "dirichlet_conductance")
+    m, eps = 17, (0.1, 0.03, 0.01)
+    kl.run_full_pipeline(kl.RunConfig(n=129, m=m, eps=eps, out=str(tmp_path)))
+    # one per Legendre fibre and per eps fibre, plus the mid-fibre holomorphy
+    # defect of each eps
+    assert 0 < len(geoms) <= m * (1 + len(eps)) + len(eps)
+    assert len(conds) == len(geoms)
+
+
+def test_spectrum_computes_one_conductance(tmp_path, monkeypatch):
+    grid = kl.SGrid(-15.0, 15.0, 129)
+    dump_json(kl.fubini_study_potential(grid).to_dict(), tmp_path / "round.json")
+    conds = _count_calls(monkeypatch, kelab.quadrature, "dirichlet_conductance")
+    kl.run_spectrum(kl.RunConfig(out=str(tmp_path), k=6), str(tmp_path / "round.json"))
+    assert len(conds) == 1
 
 
 def test_float_formatting_17g(small_pipeline):

@@ -267,6 +267,19 @@ def test_spacetime_round_trip(geodesic_suite, tmp_path):
     assert np.allclose(back.values, sol.values, rtol=0, atol=1e-15)
 
 
+def test_spacetime_header_is_portable(geodesic_suite, tmp_path, monkeypatch):
+    # written with paths relative to the working directory, loaded from
+    # another one: the header names its payload relative to itself
+    sol = geodesic_suite["legendre"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rel_out").mkdir()
+    save_spacetime(sol, "rel_out/st.json", "rel_out/st.csv")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    back = load_spacetime(tmp_path / "rel_out" / "st.json")
+    assert np.array_equal(back.values, sol.values)
+
+
 def test_sweep_requires_positive_eps(ke_pair):
     _, u0, u1 = ke_pair
     with pytest.raises(ValidationError):

@@ -1,0 +1,70 @@
+"""Property tests of the discrete theory over random convex potentials:
+lambda_1 >= 1, the slope mode at eigenvalue exactly 1, Parseval for the
+eigen-expansion, and a nonnegative spectral defect."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kelab as kl
+from kelab.geometry import unit_eigenmode
+from kelab.quadrature import dbar_norm_sq, inner_product, project_perp, weighted_integral
+from kelab.spectral import assemble_weighted_laplacian, eigendecompose
+
+GRID = kl.SGrid(-15.0, 15.0, 257)
+K = 8
+
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+@st.composite
+def convex_fibers(draw):
+    """Round metric plus sech bumps (shrunk until convex), its geometry and
+    a smooth mean-zero function mixing the slope mode with bumps."""
+    u = kl.random_convex_potential(
+        GRID,
+        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+        n_bumps=draw(st.integers(1, 5)),
+        amplitude=draw(st.floats(0.0, 0.1)),
+    )
+    geom = kl.fiber_geometry(u)
+    s = GRID.nodes()
+    f = draw(st.floats(-1.0, 1.0)) * unit_eigenmode(geom)
+    for _ in range(draw(st.integers(0, 4))):
+        f = f + draw(st.floats(-1.0, 1.0)) / np.cosh(
+            draw(st.floats(0.3, 3.0)) * (s - draw(st.floats(-6.0, 6.0)))
+        )
+    return geom, project_perp(f, geom)
+
+
+@PROPERTY
+@given(convex_fibers())
+def test_first_eigenvalue_at_least_one(fiber):
+    geom, _ = fiber
+    pack = eigendecompose(assemble_weighted_laplacian(geom), geom, K)
+    assert pack.eigenvalues[0] >= 1.0 - 1e-8
+
+
+@PROPERTY
+@given(convex_fibers())
+def test_slope_mode_has_eigenvalue_exactly_one(fiber):
+    geom, _ = fiber
+    g = unit_eigenmode(geom)
+    res = assemble_weighted_laplacian(geom).apply(g) - g
+    assert np.sqrt(inner_product(res, res, geom)) <= 1e-10 * np.sqrt(inner_product(g, g, geom))
+
+
+@PROPERTY
+@given(convex_fibers())
+def test_parseval(fiber):
+    geom, f = fiber
+    pack = eigendecompose(assemble_weighted_laplacian(geom), geom, K)
+    coeffs = np.array([inner_product(f, e, geom) for e in pack.eigenfunctions])
+    assert float(coeffs @ coeffs) <= weighted_integral(f * f, geom) * (1.0 + 1e-8)
+
+
+@PROPERTY
+@given(convex_fibers())
+def test_spectral_defect_nonnegative(fiber):
+    geom, f = fiber
+    norm_sq = weighted_integral(f * f, geom)
+    assert dbar_norm_sq(f, geom) - norm_sq >= -1e-12 * max(norm_sq, 1e-300)

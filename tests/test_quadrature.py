@@ -110,8 +110,8 @@ def test_conductance_matches_half_density(fs_1025):
 def test_conductance_rejects_nonconvex(grid_1025):
     s = grid_1025.nodes()
     geom = fiber_geometry(kl.fubini_study_potential(grid_1025))
-    # forge a geometry with a non-monotone slope field
+    # a geometry with a non-monotone slope field cannot be constructed: its
+    # conductance is computed, and rejected, in the constructor
     bad_w = np.array(geom.w) * (1.0 + 0.5 * np.sin(40.0 * s))
-    forged = kl.FiberGeometry(grid_1025, geom.u_pp, geom.F, bad_w, geom.mass)
     with pytest.raises(PositivityError):
-        dirichlet_conductance(forged)
+        kl.FiberGeometry(grid_1025, geom.u_pp, geom.F, bad_w, geom.mass)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kelab as kl
-from kelab.errors import ValidationError
+from kelab.errors import ConvergenceError, ValidationError
 from kelab.geometry import derivative, fiber_geometry
 from kelab.quadrature import dbar_norm_sq, inner_product, project_perp, weighted_integral
 from kelab.spectral import (
@@ -246,15 +246,22 @@ def test_eigendecompose_validates_k(fs_1025):
         eigendecompose(op, geom, geom.grid.n)
 
 
-def test_spectral_pack_serialization(fs_pack, tmp_path):
-    from kelab.serialize import dump_json, load_json
+def test_unresolved_constant_mode_is_rejected(fs_pack, monkeypatch):
+    # the constant-mode guard scales with the largest tridiagonal entry, but
+    # a lambda_0 of 1e-2 is far above LAPACK's error on it
+    import kelab.spectral
 
-    _, pack, _ = fs_pack
-    path = tmp_path / "pack.json"
-    dump_json(pack.to_dict(coefficients=[0.5, 0.1]), path)
-    d = load_json(path)
-    assert d["k"] == 8 and len(d["eigenvalues"]) == 8
-    assert d["coefficients"] == [0.5, 0.1]
+    real = kelab.spectral.eigh_tridiagonal
+
+    def shifted(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        vals[0] = 1e-2
+        return vals, vecs
+
+    monkeypatch.setattr(kelab.spectral, "eigh_tridiagonal", shifted)
+    op, _, geom = fs_pack
+    with pytest.raises(ConvergenceError, match="constant mode not resolved"):
+        eigendecompose(op, geom, 8)
 
 
 def test_refine_pair_exactly_singular_shift_at_large_scale():
