@@ -40,7 +40,6 @@ from .spectral import (
 )
 from .functionals import (
     DingReport,
-    PathOfPotentials,
     aubin_mabuchi_energy,
     ding_derivatives,
     ding_functional,

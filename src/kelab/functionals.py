@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .geodesic import SpacetimePotential
 from .geometry import (
     TWO_PI,
     VOLUME,
@@ -23,6 +24,7 @@ from .geometry import (
     derivative,
     fiber_geometry,
     second_derivative,
+    time_derivatives,
     trapezoid_weights,
 )
 from .quadrature import dbar_norm_sq, project_perp, weighted_integral
@@ -53,58 +55,6 @@ def ding_functional(
 ) -> float:
     """D = -E/Vol + F (volume-normalized energy, see module docstring)."""
     return -aubin_mabuchi_energy(u, u0) / VOLUME + f_functional(u, geom)
-
-
-@dataclass(frozen=True)
-class PathOfPotentials:
-    """Uniform-in-t family of fibers with a fixed reference potential."""
-
-    t_grid: np.ndarray
-    fibers: tuple
-    reference: ReducedPotential
-
-    def __post_init__(self):
-        t = np.asarray(self.t_grid, dtype=float)
-        object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "fibers", tuple(self.fibers))
-        if len(self.fibers) != t.size:
-            raise ValidationError("one fiber per t sample required")
-        if len(self.fibers) < 3:
-            raise ValidationError("need at least 3 fibers to differentiate in t")
-
-    @property
-    def dt(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0])
-
-    def values_matrix(self) -> np.ndarray:
-        return np.stack([f.values for f in self.fibers])
-
-    @classmethod
-    def from_spacetime(cls, spacetime, reference: ReducedPotential | None = None):
-        fibers = [
-            ReducedPotential(spacetime.grid, row) for row in spacetime.values
-        ]
-        return cls(spacetime.t_grid, fibers, reference or fibers[0])
-
-
-def time_derivatives(matrix: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order phi' and phi'' in t (one-sided at the endpoints)."""
-    m = matrix.shape[0]
-    if m < 3:
-        raise ValidationError("need at least 3 time samples")
-    d1 = np.empty_like(matrix)
-    d1[1:-1] = (matrix[2:] - matrix[:-2]) / (2.0 * dt)
-    d1[0] = (-3.0 * matrix[0] + 4.0 * matrix[1] - matrix[2]) / (2.0 * dt)
-    d1[-1] = (3.0 * matrix[-1] - 4.0 * matrix[-2] + matrix[-3]) / (2.0 * dt)
-    d2 = np.empty_like(matrix)
-    d2[1:-1] = (matrix[2:] - 2.0 * matrix[1:-1] + matrix[:-2]) / (dt * dt)
-    if m >= 4:
-        d2[0] = (2.0 * matrix[0] - 5.0 * matrix[1] + 4.0 * matrix[2] - matrix[3]) / (dt * dt)
-        d2[-1] = (2.0 * matrix[-1] - 5.0 * matrix[-2] + 4.0 * matrix[-3] - matrix[-4]) / (dt * dt)
-    else:
-        d2[0] = d2[1]
-        d2[-1] = d2[-2]
-    return d1, d2
 
 
 @dataclass(frozen=True)
@@ -143,24 +93,21 @@ def write_ding_csv(report: DingReport, path) -> None:
     write_csv(path, DING_CSV_HEADER, report.rows())
 
 
-def ding_derivatives(
-    path: PathOfPotentials, geoms: list[FiberGeometry] | None = None
-) -> DingReport:
-    """Evaluate E, F, D and the analytic D', D'' along the path.
+def ding_derivatives(path: SpacetimePotential) -> DingReport:
+    """Evaluate E, F, D and the analytic D', D'' along the path, with the
+    energy measured from its fiber at t = 0.
 
     D'' uses the three-term formula with f = phi'' - |dbar phi'|^2 and
     delta_t = |dbar phi'|^2 - (pi_perp phi')^2 rather than double
     differencing, which would amplify solver noise; the finite-difference
     versions are cross-checked and their maximum deviations reported.
     """
-    if geoms is None:
-        geoms = [fiber_geometry(f) for f in path.fibers]
-    mt = path.values_matrix()
+    phi_p, phi_pp = path.phi_p, path.phi_pp
     dt = path.dt
-    phi_p, phi_pp = time_derivatives(mt, dt)
-    m = mt.shape[0]
-    ds = path.fibers[0].grid.ds
-    c_q = trapezoid_weights(path.fibers[0].grid.n, ds)
+    m = path.t_grid.size
+    ds = path.grid.ds
+    c_q = trapezoid_weights(path.grid.n, ds)
+    reference = path.fiber(0)
 
     energy = np.empty(m)
     f_vals = np.empty(m)
@@ -172,9 +119,9 @@ def ding_derivatives(
     int_delta_exp = np.empty(m)
 
     for j in range(m):
-        geom = geoms[j]
-        u = path.fibers[j]
-        energy[j] = aubin_mabuchi_energy(u, path.reference) / VOLUME
+        geom = path.geometry(j)
+        u = path.fiber(j)
+        energy[j] = aubin_mabuchi_energy(u, reference) / VOLUME
         f_vals[j] = f_functional(u, geom)
         c_t[j] = geom.mass
         # analytic first derivative: int phi' (-omega/Vol + e^{-phi}/c_t)
@@ -200,20 +147,15 @@ def ding_derivatives(
     )
 
 
-def integrated_defect(
-    path: PathOfPotentials,
-    geoms: list[FiberGeometry] | None = None,
-    report: DingReport | None = None,
-) -> tuple[float, float]:
+def integrated_defect(report: DingReport) -> tuple[float, float]:
     """Time integrals (int int f e^{-phi} dt, int int delta_t e^{-phi} dt).
 
     Both are nonnegative up to round-off for an epsilon-geodesic: the first
     because the forcing keeps f > 0 pointwise, the second because the defect
     is a positive semidefinite spectral form.
     """
-    if report is None:
-        report = ding_derivatives(path, geoms)
-    ct = trapezoid_weights(report.t_grid.size, path.dt)
+    t = report.t_grid
+    ct = trapezoid_weights(t.size, float(t[1] - t[0]))
     return float(ct @ report.int_f_exp), float(ct @ report.int_delta_exp)
 
 

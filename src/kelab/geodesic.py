@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,13 +39,16 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import ConvergenceError, ValidationError
 from .geometry import (
+    FiberGeometry,
     ReducedPotential,
     SGrid,
     _potential_spline,
     evaluate_potential,
     evaluate_slope,
+    fiber_geometry,
     fubini_study_potential,
     second_derivative,
+    time_derivatives,
     trapezoid_weights,
 )
 from .serialize import dump_json, format_float, load_json
@@ -279,13 +283,20 @@ def legendre_geodesic(
 
 @dataclass(frozen=True)
 class SpacetimePotential:
-    """Solution u(t, s) on the tensor grid, one fiber per row."""
+    """Solution u(t, s) on the tensor grid, one fiber per row.
+
+    The path owns its time derivatives ``phi_p``/``phi_pp`` (one second-order
+    differencing of the whole array) and the ``FiberGeometry`` of each fiber;
+    both caches are filled on first use, so a path fresh out of the solver
+    holds only its values.
+    """
 
     t_grid: np.ndarray
     grid: SGrid
     values: np.ndarray        # shape (m, n)
     epsilon: float
     background: ReducedPotential
+    _geometries: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.t_grid, dtype=float)
@@ -302,8 +313,31 @@ class SpacetimePotential:
     def dt(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0])
 
+    @cached_property
+    def _time_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        d1, d2 = time_derivatives(self.values, self.dt)
+        d1.setflags(write=False)
+        d2.setflags(write=False)
+        return d1, d2
+
+    @property
+    def phi_p(self) -> np.ndarray:
+        """Velocity phi' = u_t on every node, shape (m, n)."""
+        return self._time_derivatives[0]
+
+    @property
+    def phi_pp(self) -> np.ndarray:
+        """Acceleration phi'' = u_tt on every node, shape (m, n)."""
+        return self._time_derivatives[1]
+
     def fiber(self, j: int) -> ReducedPotential:
         return ReducedPotential(self.grid, np.array(self.values[j]))
+
+    def geometry(self, j: int) -> FiberGeometry:
+        """Fiber j's geometry, built on first use and kept."""
+        if j not in self._geometries:
+            self._geometries[j] = fiber_geometry(self.fiber(j))
+        return self._geometries[j]
 
     def time_index(self, t: float) -> int:
         j = int(np.argmin(np.abs(self.t_grid - t)))
@@ -654,14 +688,11 @@ def verify_chen_bounds(solutions: dict[float, SpacetimePotential]) -> ChenBounds
     for eps in eps_sorted:
         sol = solutions[eps]
         U = sol.values
-        dt = sol.dt
         ds = sol.grid.ds
-        phi_p = (U[2:] - U[:-2]) / (2.0 * dt)
-        phi_pp = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / (dt * dt)
         d_ss = (U[:, 2:] - 2.0 * U[:, 1:-1] + U[:, :-2]) / (ds * ds)
-        d_ts = (U[2:, 2:] - U[2:, :-2] - U[:-2, 2:] + U[:-2, :-2]) / (4.0 * dt * ds)
-        p1.append(float(np.max(np.abs(phi_p))))
-        p2.append(float(np.max(np.abs(phi_pp))))
+        d_ts = _spacetime_derivatives(U, sol.dt, ds)[2]
+        p1.append(float(np.max(np.abs(sol.phi_p[1:-1]))))
+        p2.append(float(np.max(np.abs(sol.phi_pp[1:-1]))))
         uss.append(float(np.max(np.abs(d_ss))))
         uts.append(float(np.max(np.abs(d_ts))))
     flagged = False

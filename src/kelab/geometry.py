@@ -110,6 +110,27 @@ def second_derivative(values: np.ndarray, ds: float) -> np.ndarray:
     return d
 
 
+def time_derivatives(matrix: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order phi' and phi'' in t along the rows (one-sided at the
+    endpoints)."""
+    m = matrix.shape[0]
+    if m < 3:
+        raise ValidationError("need at least 3 time samples")
+    d1 = np.empty_like(matrix)
+    d1[1:-1] = (matrix[2:] - matrix[:-2]) / (2.0 * dt)
+    d1[0] = (-3.0 * matrix[0] + 4.0 * matrix[1] - matrix[2]) / (2.0 * dt)
+    d1[-1] = (3.0 * matrix[-1] - 4.0 * matrix[-2] + matrix[-3]) / (2.0 * dt)
+    d2 = np.empty_like(matrix)
+    d2[1:-1] = (matrix[2:] - 2.0 * matrix[1:-1] + matrix[:-2]) / (dt * dt)
+    if m >= 4:
+        d2[0] = (2.0 * matrix[0] - 5.0 * matrix[1] + 4.0 * matrix[2] - matrix[3]) / (dt * dt)
+        d2[-1] = (2.0 * matrix[-1] - 5.0 * matrix[-2] + 4.0 * matrix[-3] - matrix[-4]) / (dt * dt)
+    else:
+        d2[0] = d2[1]
+        d2[-1] = d2[-2]
+    return d1, d2
+
+
 @dataclass(frozen=True)
 class ReducedPotential:
     """Sampled invariant potential u(s) with its asymptotic slopes."""

@@ -23,7 +23,6 @@ from .errors import (
     TrivialLimitError,
     ValidationError,
 )
-from .functionals import time_derivatives
 from .geodesic import SpacetimePotential
 from .geometry import (
     FiberGeometry,
@@ -32,6 +31,7 @@ from .geometry import (
     fiber_geometry,
     pullback_potential,
     second_derivative,
+    time_derivatives,
     trapezoid_weights,
 )
 from .quadrature import (
@@ -83,18 +83,13 @@ class EpsilonTrace:
         return self.records[-1]
 
 
-def fiber_decompose(
-    solution: SpacetimePotential, t: float, k: int,
-    geom: FiberGeometry | None = None,
-) -> FiberRecord:
+def fiber_decompose(solution: SpacetimePotential, t: float, k: int) -> FiberRecord:
     """Expand pi_perp phi' at time t in the fiber's own eigenbasis."""
     j = solution.time_index(t)
-    phi_p = time_derivatives(solution.values, solution.dt)[0][j]
-    if geom is None:
-        geom = fiber_geometry(solution.fiber(j))
+    geom = solution.geometry(j)
     op = assemble_weighted_laplacian(geom)
     pack = eigendecompose(op, geom, k)
-    pperp = project_perp(phi_p, geom)
+    pperp = project_perp(solution.phi_p[j], geom)
     coeffs = np.array([inner_product(pperp, e, geom) for e in pack.eigenfunctions])
     l2 = weighted_integral(pperp * pperp, geom)
     dbar = dbar_norm_sq(pperp, geom)
@@ -391,7 +386,7 @@ def time_constancy(
 
     ds = solution.grid.ds
     U = solution.values
-    phi_pp = time_derivatives(U, solution.dt)[1]
+    phi_pp = solution.phi_pp
     # assemble u_ss * h on the analyzed fibers and differentiate across them
     rows = []
     for t, f in items:
@@ -414,7 +409,7 @@ def time_constancy(
     # transport identity (|dbar phi'|^2)' = phi''_{ss} h on the mid fiber
     t_mid, f_mid = items[len(items) // 2]
     j = solution.time_index(t_mid)
-    phi_p = time_derivatives(U, solution.dt)[0][j]
+    phi_p = solution.phi_p[j]
     uss = second_derivative(U[j], ds)
     q = derivative(phi_p, ds) ** 2 / uss
     lhs = derivative(q, ds)

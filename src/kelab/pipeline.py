@@ -18,11 +18,9 @@ import numpy as np
 from . import limits as lim
 from .errors import ValidationError
 from .functionals import (
-    PathOfPotentials,
     ding_derivatives,
     fatou_subsequence,
     integrated_defect,
-    time_derivatives,
     write_ding_csv,
 )
 from .geodesic import (
@@ -189,9 +187,8 @@ def run_spectrum(config: RunConfig, potential_file: str, dump_eigenfunctions: bo
 def _velocity_holo_defect(sol, t: float) -> float:
     """Holomorphy defect of the full velocity field on one fiber."""
     j = sol.time_index(t)
-    phi_p = time_derivatives(sol.values, sol.dt)[0][j]
-    geom = fiber_geometry(sol.fiber(j))
-    pperp = project_perp(phi_p, geom)
+    geom = sol.geometry(j)
+    pperp = project_perp(sol.phi_p[j], geom)
     h = derivative(pperp, geom.grid.ds) / geom.u_pp
     hp = derivative(h, geom.grid.ds)
     return float(weighted_integral(hp * hp, geom))
@@ -215,11 +212,9 @@ def run_full_pipeline(config: RunConfig) -> dict:
     sweep, solver_info = solve_epsilon_sweep(
         u0, u1, config.eps, config.m, tol=config.tol, initial=leg, full_output=True
     )
-    # fiber geometries are built only after the sweep, whose sparse LU sets
-    # the run's peak memory
-    leg_path = PathOfPotentials.from_spacetime(leg, u0)
-    leg_geoms = [fiber_geometry(f) for f in leg_path.fibers]
-    leg_report = ding_derivatives(leg_path, leg_geoms)
+    # paths build their derivatives and fiber geometries on first use, so
+    # only after the sweep, whose sparse LU sets the run's peak memory
+    leg_report = ding_derivatives(leg)
     write_ding_csv(leg_report, os.path.join(out, "ding_legendre.csv"))
 
     eps_desc = sorted(sweep, reverse=True)
@@ -227,7 +222,6 @@ def run_full_pipeline(config: RunConfig) -> dict:
     defect_terms = {}
     sup_dev = {}
     pde_residuals = {}
-    eps_geoms = {}
     for eps in eps_desc:
         sol = sweep[eps]
         tag = f"{eps:.0e}"
@@ -236,12 +230,10 @@ def run_full_pipeline(config: RunConfig) -> dict:
             os.path.join(out, f"spacetime_eps_{tag}.json"),
             os.path.join(out, f"spacetime_eps_{tag}.csv"),
         )
-        p = PathOfPotentials.from_spacetime(sol, u0)
-        geoms = eps_geoms[eps] = [fiber_geometry(f) for f in p.fibers]
-        rep = ding_derivatives(p, geoms)
+        rep = ding_derivatives(sol)
         ding_reports[eps] = rep
         write_ding_csv(rep, os.path.join(out, f"ding_eps_{tag}.csv"))
-        defect_terms[eps] = integrated_defect(p, geoms, report=rep)
+        defect_terms[eps] = integrated_defect(rep)
         sup_dev[eps] = float(np.max(np.abs(sol.values - leg.values)))
         pde_residuals[eps] = float(np.max(np.abs(monge_ampere_residual(sol))))
     chen = verify_chen_bounds(sweep)
@@ -254,11 +246,8 @@ def run_full_pipeline(config: RunConfig) -> dict:
     t_grid = np.linspace(0.0, 1.0, config.m)
     sol_min = sweep[eps_desc[-1]]
     traces = {}
-    for j, t in enumerate(t_grid):
-        recs = [
-            lim.fiber_decompose(sweep[e], float(t), config.k, eps_geoms[e][j])
-            for e in eps_desc
-        ]
+    for t in t_grid:
+        recs = [lim.fiber_decompose(sweep[e], float(t), config.k) for e in eps_desc]
         traces[float(t)] = lim.EpsilonTrace(float(t), tuple(recs))
     g_table = np.stack(
         [ding_reports[e].int_f_exp + ding_reports[e].int_delta_exp for e in eps_desc]
@@ -272,10 +261,8 @@ def run_full_pipeline(config: RunConfig) -> dict:
     for j, t in enumerate(t_grid):
         tr = traces[float(t)]
         cluster = lim.cluster_analysis(tr, gap_tol=10.0 * grid.ds ** 2)
-        limit_fiber = leg_path.fibers[j]
-        limit_geom = leg_geoms[j]
         try:
-            fld = lim.extract_vector_field(tr, cluster, limit_fiber, limit_geom)
+            fld = lim.extract_vector_field(tr, cluster, leg.fiber(j), leg.geometry(j))
         except lim.TrivialLimitError:
             fld = lim.trivial_field(float(t), grid.n)
             trivial_run = True
@@ -316,7 +303,7 @@ def run_full_pipeline(config: RunConfig) -> dict:
         weak_gaps = {e: 0.0 for e in eps_desc}
     else:
         weak_gaps = lim.distributional_product_gap(
-            sweep, mid_t, fld_mid, leg_path.fibers[config.m // 2]
+            sweep, mid_t, fld_mid, leg.fiber(config.m // 2)
         )
 
     ding_summary = {

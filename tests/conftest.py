@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import kelab as kl
-from kelab.functionals import PathOfPotentials, ding_derivatives
+from kelab.functionals import ding_derivatives
 from kelab.geodesic import legendre_path
 from kelab.geometry import fiber_geometry
 
@@ -44,24 +44,18 @@ def geodesic_suite(ke_pair):
     """Exact geodesic, epsilon sweep and all per-path Ding reports."""
     grid, u0, u1 = ke_pair
     leg = legendre_path(u0, u1, 65)
-    leg_path = PathOfPotentials.from_spacetime(leg, u0)
-    leg_geoms = [fiber_geometry(f) for f in leg_path.fibers]
     sweep = kl.solve_epsilon_sweep(u0, u1, EPS_SCHEDULE, m=65)
     reports = {}
-    geoms = {}
     for eps, sol in sweep.items():
-        p = PathOfPotentials.from_spacetime(sol, u0)
-        g = [fiber_geometry(f) for f in p.fibers]
-        reports[eps] = (p, g, ding_derivatives(p, g))
-        geoms[eps] = g
+        rep = ding_derivatives(sol)
+        geoms = [sol.geometry(j) for j in range(sol.t_grid.size)]
+        reports[eps] = (sol, geoms, rep)
     return {
         "grid": grid,
         "u0": u0,
         "u1": u1,
         "legendre": leg,
-        "leg_path": leg_path,
-        "leg_geoms": leg_geoms,
-        "leg_report": ding_derivatives(leg_path, leg_geoms),
+        "leg_report": ding_derivatives(leg),
         "sweep": sweep,
         "reports": reports,
     }
@@ -87,7 +81,7 @@ def extracted_fields(geodesic_suite, traces_all):
     for j, (t, tr) in enumerate(sorted(traces_all.items())):
         rep = kl.cluster_analysis(tr)
         fields[t] = kl.extract_vector_field(
-            tr, rep, geodesic_suite["leg_path"].fibers[j],
-            geodesic_suite["leg_geoms"][j],
+            tr, rep, geodesic_suite["legendre"].fiber(j),
+            geodesic_suite["legendre"].geometry(j),
         )
     return fields

@@ -180,7 +180,7 @@ def test_criterion_8_integrated_defect(geodesic_suite):
     nonneg = True
     for eps in sorted(geodesic_suite["reports"], reverse=True):
         p, g, rep = geodesic_suite["reports"][eps]
-        t1, t2 = integrated_defect(p, g, report=rep)
+        t1, t2 = integrated_defect(rep)
         nonneg &= t1 >= -1e-8 and t2 >= -1e-8
         fitted.append((t1 + t2) / eps)
     stable = max(fitted) / min(fitted) < 2.0

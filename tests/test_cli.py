@@ -267,12 +267,12 @@ def test_spectrum_round_metric_large_n(tmp_path):
 
 def _count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` in every kelab namespace that binds it; returns
-    the list the wrapper appends to on each call."""
+    the list the wrapper appends each call's positional arguments to."""
     original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -288,10 +288,49 @@ def test_pipeline_builds_one_geometry_per_fibre(tmp_path, monkeypatch):
     conds = _count_calls(monkeypatch, kelab.quadrature, "dirichlet_conductance")
     m, eps = 17, (0.1, 0.03, 0.01)
     kl.run_full_pipeline(kl.RunConfig(n=129, m=m, eps=eps, out=str(tmp_path)))
-    # one per Legendre fibre and per eps fibre, plus the mid-fibre holomorphy
-    # defect of each eps
-    assert 0 < len(geoms) <= m * (1 + len(eps)) + len(eps)
+    # one per Legendre fibre and per eps fibre
+    assert len(geoms) == m * (1 + len(eps))
     assert len(conds) == len(geoms)
+
+
+def _record_paths(monkeypatch):
+    """List every SpacetimePotential constructed from now on."""
+    paths = []
+    init = kl.SpacetimePotential.__post_init__
+
+    def recording(self):
+        init(self)
+        paths.append(self)
+
+    monkeypatch.setattr(kl.SpacetimePotential, "__post_init__", recording)
+    return paths
+
+
+def _differencings_per_path(calls, paths):
+    """How often each path's full (m, n) values went through time_derivatives."""
+    return [sum(args[0] is p.values for args in calls) for p in paths]
+
+
+def test_pipeline_differences_each_path_once(tmp_path, monkeypatch):
+    paths = _record_paths(monkeypatch)
+    calls = _count_calls(monkeypatch, kelab.geometry, "time_derivatives")
+    eps = (0.1, 0.03, 0.01)
+    kl.run_full_pipeline(kl.RunConfig(n=129, m=17, eps=eps, out=str(tmp_path)))
+    per_path = _differencings_per_path(calls, paths)
+    # the Legendre path and each eps solution, once each
+    assert max(per_path) == 1
+    assert sum(per_path) == 1 + len(eps)
+
+
+def test_decomposing_every_fibre_differences_once(monkeypatch):
+    grid = kl.SGrid(-15.0, 15.0, 129)
+    u0 = kl.solve_ke(grid)
+    sweep = kl.solve_epsilon_sweep(u0, kl.pullback_potential(u0, 0.5), (0.1, 0.01), 17)
+    calls = _count_calls(monkeypatch, kelab.geometry, "time_derivatives")
+    for sol in sweep.values():
+        for t in sol.t_grid:
+            kl.fiber_decompose(sol, float(t), 6)
+    assert _differencings_per_path(calls, list(sweep.values())) == [1, 1]
 
 
 def test_spectrum_computes_one_conductance(tmp_path, monkeypatch):

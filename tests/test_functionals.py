@@ -6,15 +6,13 @@ import pytest
 import kelab as kl
 from kelab.errors import ValidationError
 from kelab.functionals import (
-    PathOfPotentials,
     aubin_mabuchi_energy,
     ding_derivatives,
     f_functional,
     fatou_subsequence,
     integrated_defect,
-    time_derivatives,
 )
-from kelab.geometry import VOLUME, fiber_geometry
+from kelab.geometry import VOLUME
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,10 +51,9 @@ def test_energy_derivative_matches_volume_integrand(ke_pair):
     de_fd = (energies[2:] - energies[:-2]) / (2.0 * dt)
     c = np.full(grid.n, grid.ds)
     c[0] = c[-1] = grid.ds / 2.0
-    phi_p = time_derivatives(mt, dt)[0]
     for j in (5, 16, 27):
-        geom = fiber_geometry(path.fiber(j))
-        analytic = TWO_PI * float(c @ (phi_p[j] * geom.u_pp))
+        geom = path.geometry(j)
+        analytic = TWO_PI * float(c @ (path.phi_p[j] * geom.u_pp))
         assert de_fd[j - 1] == pytest.approx(analytic, abs=20.0 * dt * dt)
 
 
@@ -77,7 +74,9 @@ def test_f_functional_values(fs_1025):
 
 def test_constant_path_derivatives(fs_1025):
     fs, _ = fs_1025
-    path = PathOfPotentials(np.linspace(0, 1, 9), [fs] * 9, fs)
+    path = kl.SpacetimePotential(
+        np.linspace(0, 1, 9), fs.grid, np.tile(fs.values, (9, 1)), 0.0, fs
+    )
     rep = ding_derivatives(path)
     assert np.max(np.abs(rep.dprime)) < 1e-9
     assert np.max(np.abs(rep.dsecond)) < 1e-9
@@ -117,8 +116,8 @@ def test_convexity_bound_on_sweep(geodesic_suite):
 
 def test_integrated_defect_scaling(geodesic_suite):
     fitted = {}
-    for eps, (p, g, rep) in geodesic_suite["reports"].items():
-        t1, t2 = integrated_defect(p, g, report=rep)
+    for eps, (_, _, rep) in geodesic_suite["reports"].items():
+        t1, t2 = integrated_defect(rep)
         assert t1 >= -1e-8 and t2 >= -1e-8
         fitted[eps] = (t1 + t2) / eps
     vals = list(fitted.values())

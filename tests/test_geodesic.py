@@ -5,7 +5,6 @@ import scipy.sparse as sp
 import kelab as kl
 import kelab.geodesic as geodesic
 from kelab.errors import ValidationError
-from kelab.functionals import time_derivatives
 from kelab.geodesic import (
     LaggedLU,
     ke_residual,
@@ -81,7 +80,7 @@ def test_legendre_velocity_formula(geodesic_suite):
     # phi' = tau * (u_t' - 1) along the pullback-flow geodesic
     leg = geodesic_suite["legendre"]
     grid = geodesic_suite["grid"]
-    phi_p = time_derivatives(leg.values, leg.dt)[0]
+    phi_p = leg.phi_p
     for j in (16, 32, 48):
         up = derivative(leg.values[j], grid.ds)
         assert np.max(np.abs(phi_p[j] - 0.5 * (up - 1.0))) < 20.0 * leg.dt ** 2
@@ -253,7 +252,7 @@ def test_chen_bounds_uniform(geodesic_suite):
 def test_chen_bounds_legendre_velocity(geodesic_suite):
     # |phi'| = |tau| sup|u_t' - 1| <= |tau| on the exact geodesic
     leg = geodesic_suite["legendre"]
-    phi_p = time_derivatives(leg.values, leg.dt)[0]
+    phi_p = leg.phi_p
     assert np.max(np.abs(phi_p)) <= 0.5 + 1e-6
 
 

@@ -279,7 +279,7 @@ def test_reconstruct_automorphism_mismatch(geodesic_suite):
 def test_distributional_product_convergence(geodesic_suite, extracted_fields):
     # the weakly converging metric paired against the strong-limit field and
     # smooth bumps: the products converge distributionally at rate O(eps)
-    limit_fiber = geodesic_suite["leg_path"].fibers[32]
+    limit_fiber = geodesic_suite["legendre"].fiber(32)
     gaps = lim.distributional_product_gap(
         geodesic_suite["sweep"], 0.5, extracted_fields[0.5], limit_fiber
     )

@@ -1,11 +1,14 @@
 """Property tests of the discrete theory over random convex potentials:
 lambda_1 >= 1, the slope mode at eigenvalue exactly 1, Parseval for the
-eigen-expansion, and a nonnegative spectral defect."""
+eigen-expansion, a nonnegative spectral defect, and convexity of the Ding
+functional along the exact geodesic between two such potentials."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kelab as kl
+from kelab.functionals import ding_derivatives
+from kelab.geodesic import legendre_path
 from kelab.geometry import unit_eigenmode
 from kelab.quadrature import dbar_norm_sq, inner_product, project_perp, weighted_integral
 from kelab.spectral import assemble_weighted_laplacian, eigendecompose
@@ -16,16 +19,23 @@ K = 8
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
 
+def convex_potentials():
+    """Round metric plus sech bumps, shrunk until convex."""
+    return st.builds(
+        lambda seed, n_bumps, amplitude: kl.random_convex_potential(
+            GRID, np.random.default_rng(seed), n_bumps=n_bumps, amplitude=amplitude
+        ),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.floats(0.0, 0.1),
+    )
+
+
 @st.composite
 def convex_fibers(draw):
     """Round metric plus sech bumps (shrunk until convex), its geometry and
     a smooth mean-zero function mixing the slope mode with bumps."""
-    u = kl.random_convex_potential(
-        GRID,
-        np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
-        n_bumps=draw(st.integers(1, 5)),
-        amplitude=draw(st.floats(0.0, 0.1)),
-    )
+    u = draw(convex_potentials())
     geom = kl.fiber_geometry(u)
     s = GRID.nodes()
     f = draw(st.floats(-1.0, 1.0)) * unit_eigenmode(geom)
@@ -68,3 +78,12 @@ def test_spectral_defect_nonnegative(fiber):
     geom, f = fiber
     norm_sq = weighted_integral(f * f, geom)
     assert dbar_norm_sq(f, geom) - norm_sq >= -1e-12 * max(norm_sq, 1e-300)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(convex_potentials(), convex_potentials())
+def test_ding_convex_along_geodesic(u0, u1):
+    # D'' >= 0 along the exact geodesic, and its spectral defect piece too
+    rep = ding_derivatives(legendre_path(u0, u1, 17))
+    assert rep.dsecond.min() >= -1e-9
+    assert rep.int_delta_exp.min() >= -1e-9

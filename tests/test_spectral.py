@@ -275,3 +275,33 @@ def test_refine_pair_exactly_singular_shift_at_large_scale():
     assert np.all(np.isfinite(z))
     assert abs(abs(z[0] - z[1]) / math.sqrt(2.0) - 1.0) < 1e-12
     assert abs(lam - 1.0) < 1e-5
+
+
+@pytest.fixture(scope="module")
+def draw_79():
+    # diagonal up to 2.4e10: the refined residual of pair 1 is 1.01e-8, over
+    # 1e-8 but at 0.41 of the rounding floor eps * || |A| |e| ||
+    u = kl.random_convex_potential(kl.SGrid(-15.0, 15.0, 2049), np.random.default_rng(79))
+    geom = fiber_geometry(u)
+    return assemble_weighted_laplacian(geom), geom
+
+
+def test_residual_guard_allows_rounding_floor(draw_79):
+    op, geom = draw_79
+    pack = eigendecompose(op, geom, 8)
+    assert abs(pack.eigenvalues[0] - 1.0) < 1e-8
+
+
+def test_residual_guard_rejects_wrong_pair(draw_79, monkeypatch):
+    import kelab.spectral
+
+    real = kelab.spectral._refine_pair
+
+    def off_by_1e6(*args, **kwargs):
+        lam, y = real(*args, **kwargs)
+        return lam * (1.0 + 1e-6), y
+
+    monkeypatch.setattr(kelab.spectral, "_refine_pair", off_by_1e6)
+    op, geom = draw_79
+    with pytest.raises(ConvergenceError, match="residual too large"):
+        eigendecompose(op, geom, 8)
