@@ -14,8 +14,11 @@ Three solvers live here:
 * ``legendre_geodesic``: the exact weak geodesic.  Invariant geodesics are
   linear in the Legendre-dual (symplectic) potential, which collapses to the
   horizontal-transport form u_t(s) = (1-t) u0(sigma0) + t u1(sigma1) where
-  u0'(sigma0) = u1'(sigma1) and (1-t) sigma0 + t sigma1 = s; the single
-  monotone root is found by vectorized bisection.
+  u0'(sigma0) = u1'(sigma1) and (1-t) sigma0 + t sigma1 = s.  The single
+  monotone root lies between s and phi^{-1}(s), phi the matching map of the
+  endpoint slopes; a safeguarded Newton solves all (t, s) nodes at once
+  inside that bracket and stops a node once the fiber value, which is
+  stationary in the root, is converged.
 
 * ``solve_epsilon_geodesic``: damped Newton on the space-time system
   u_tt u_ss - u_ts^2 = eps h''(s), second-order tensor stencils, Dirichlet
@@ -40,9 +43,9 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 from .errors import ConvergenceError, ValidationError
 from .geometry import (
     FiberGeometry,
+    PotentialSpline,
     ReducedPotential,
     SGrid,
-    _potential_spline,
     evaluate_potential,
     evaluate_slope,
     fiber_geometry,
@@ -237,6 +240,73 @@ def solve_ke(
 # exact weak geodesic via the Legendre-dual linear structure
 
 
+def _legendre_fibers(
+    u0: ReducedPotential, u1: ReducedPotential, t: np.ndarray
+) -> np.ndarray:
+    """Exact-geodesic fibers at the interior times t, shape (len(t), n).
+
+    At each (t, s) the root sigma0 = x of G(x) = u0'(x) - u1'((s - (1-t) x)/t)
+    lies between s and phi^{-1}(s), phi the increasing map with
+    u1'(phi(x)) = u0'(x), where G has opposite signs.  A safeguarded Newton
+    runs inside that bracket on the still-active nodes.  The fiber value is
+    stationary in sigma0, so its error is about (1-t) G^2 / (2 G'); a node
+    stops when (1-t) G^2 / G' <= 1e-18, where a step-size test would stall
+    in the tails, in which both slopes saturate.
+    """
+    if u0.grid != u1.grid:
+        raise ValidationError("geodesic endpoints must share a grid")
+    u0.validate()
+    u1.validate()
+    grid = u0.grid
+    s = grid.nodes()
+    sp0 = PotentialSpline(u0)
+    sp1 = PotentialSpline(u1)
+
+    # phi^{-1}(s): u0' is strictly increasing, bisect to near machine precision
+    target = evaluate_slope(u1, s, sp1)
+    span = grid.s_max - grid.s_min
+    lo = np.full(grid.n, grid.s_min - span)
+    hi = np.full(grid.n, grid.s_max + span)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = evaluate_slope(u0, mid, sp0) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    inverse = 0.5 * (lo + hi)
+
+    tt = np.repeat(t, grid.n)
+    ss = np.tile(s, len(t))
+    pp = np.tile(inverse, len(t))
+    lo = np.minimum(ss, pp)
+    hi = np.maximum(ss, pp)
+    x = (1.0 - tt) * ss + tt * pp
+    active = np.arange(x.size)
+    for _ in range(64):
+        xa, ta = x[active], tt[active]
+        sigma1 = (ss[active] - (1.0 - ta) * xa) / ta
+        g = evaluate_slope(u0, xa, sp0) - evaluate_slope(u1, sigma1, sp1)
+        dg = sp0(xa, nu=2) + (1.0 - ta) / ta * sp1(sigma1, nu=2)
+        done = (1.0 - ta) * g * g <= 1e-18 * np.maximum(dg, 0.0)
+        lo[active] = lo_a = np.where(g < 0.0, xa, lo[active])
+        hi[active] = hi_a = np.where(g < 0.0, hi[active], xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = xa - g / dg
+        inside = np.isfinite(step) & (step > lo_a) & (step < hi_a)
+        x[active] = np.where(done, xa, np.where(inside, step, 0.5 * (lo_a + hi_a)))
+        active = active[~done]
+        if active.size == 0:
+            break
+    else:
+        raise ConvergenceError(
+            f"Legendre root solve left {active.size} nodes unconverged after 64 sweeps"
+        )
+    sigma1 = (ss - (1.0 - tt) * x) / tt
+    vals = (1.0 - tt) * evaluate_potential(u0, x, sp0) + tt * evaluate_potential(
+        u1, sigma1, sp1
+    )
+    return vals.reshape(len(t), grid.n)
+
+
 def legendre_geodesic(
     u0: ReducedPotential, u1: ReducedPotential, t: float
 ) -> ReducedPotential:
@@ -249,32 +319,7 @@ def legendre_geodesic(
         return ReducedPotential(u0.grid, np.array(u0.values))
     if t == 1.0:
         return ReducedPotential(u0.grid, np.array(u1.values))
-    u0.validate()
-    u1.validate()
-    grid = u0.grid
-    s_out = grid.nodes()
-    sp0 = _potential_spline(u0)
-    sp1 = _potential_spline(u1)
-    span = grid.s_max - grid.s_min
-    lo = np.full(grid.n, grid.s_min - span)
-    hi = np.full(grid.n, grid.s_max + span)
-
-    def gap(sigma0):
-        sigma1 = (s_out - (1.0 - t) * sigma0) / t
-        return evaluate_slope(u0, sigma0, sp0) - evaluate_slope(u1, sigma1, sp1)
-
-    # gap is strictly increasing in sigma0; bisect to near machine precision
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        g = gap(mid)
-        lo = np.where(g < 0.0, mid, lo)
-        hi = np.where(g < 0.0, hi, mid)
-    sigma0 = 0.5 * (lo + hi)
-    sigma1 = (s_out - (1.0 - t) * sigma0) / t
-    vals = (1.0 - t) * evaluate_potential(u0, sigma0, sp0) + t * evaluate_potential(
-        u1, sigma1, sp1
-    )
-    return ReducedPotential(grid, vals)
+    return ReducedPotential(u0.grid, _legendre_fibers(u0, u1, np.array([t]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +402,7 @@ def legendre_path(
     rows = np.empty((m, u0.grid.n))
     rows[0] = u0.values
     rows[-1] = u1.values
-    for j in range(1, m - 1):
-        rows[j] = legendre_geodesic(u0, u1, float(t_grid[j])).values
+    rows[1:-1] = _legendre_fibers(u0, u1, t_grid[1:-1])
     return SpacetimePotential(
         t_grid, u0.grid, rows, 0.0,
         background if background is not None else fubini_study_potential(u0.grid),
@@ -462,8 +506,9 @@ def solve_epsilon_geodesic(
     tolerance min(1e-6, residual) relative or a tenth of the residual
     target absolute; when GMRES misses it within ``_KRYLOV_CAP`` iterations
     the Jacobian is factored afresh and solved directly.  Ridge retries are
-    always factored afresh.  ``info`` (``full_output``) counts the Newton
-    iterations, factorisations and GMRES iterations.
+    always factored afresh, so each Newton iteration factors at most once
+    plus once per ridge retry.  ``info`` (``full_output``) counts the Newton
+    iterations, factorisations, GMRES iterations and ridge retries.
     """
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
@@ -554,7 +599,7 @@ def solve_epsilon_geodesic(
     ridge = 0.0
     if factor is None:
         factor = LaggedLU()
-    n_lu = n_krylov = 0
+    n_lu = n_krylov = n_ridge = 0
     while rnorm > target and it < max_iter:
         jac = assemble(dtt, dss, dts)
         diag = jac.diagonal()
@@ -599,6 +644,7 @@ def solve_epsilon_geodesic(
                         f"geodesic Newton stalled at residual {rnorm:.3e} "
                         f"(eps={epsilon}, iteration {it})"
                     )
+                n_ridge += 1
         ridge *= 0.1
         if ridge < 1e-9:
             ridge = 0.0
@@ -616,6 +662,7 @@ def solve_epsilon_geodesic(
         return out, {
             "iterations": it, "residual": rnorm, "history": history,
             "factorizations": n_lu, "gmres_iterations": n_krylov,
+            "ridge_retries": n_ridge,
         }
     return out
 

@@ -249,55 +249,65 @@ def fubini_study_potential(grid: SGrid) -> ReducedPotential:
     return ReducedPotential(grid, 2.0 * np.logaddexp(0.0, s))
 
 
-def _asymptotic_coeffs(u: ReducedPotential, spline) -> tuple[float, float, float, float]:
-    # u ~ alpha + c_L e^s on the left, 2s + beta + c_R e^{-s} on the right;
-    # coefficients read off the end node and the spline slope there.
-    s0, s1 = u.grid.s_min, u.grid.s_max
-    d0 = float(spline(s0, nu=1))
-    d1 = float(spline(s1, nu=1))
-    c_left = d0 * math.exp(-s0)
-    alpha = float(u.values[0]) - d0
-    c_right = (2.0 - d1) * math.exp(s1)
-    beta = float(u.values[-1]) - 2.0 * s1 - (2.0 - d1)
-    return alpha, c_left, beta, c_right
+class PotentialSpline:
+    """Quintic interpolant of a sampled potential, extended beyond the grid.
+
+    Outside [s_min, s_max] u follows the exponential corrections to its
+    linear asymptotes, u ~ alpha + c_L e^s on the left and
+    2s + beta + c_R e^{-s} on the right (exact up to O(e^{-2|s|})), with the
+    coefficients read off the end nodes and the spline slope there.  Built
+    once per potential, so repeated evaluation does not refit the spline or
+    recompute the coefficients.
+    """
+
+    def __init__(self, u: ReducedPotential):
+        self.grid = u.grid
+        self.spline = make_interp_spline(u.grid.nodes(), u.values, k=5)
+        s0, s1 = u.grid.s_min, u.grid.s_max
+        d0 = float(self.spline(s0, nu=1))
+        d1 = float(self.spline(s1, nu=1))
+        self.c_left = d0 * math.exp(-s0)
+        self.alpha = float(u.values[0]) - d0
+        self.c_right = (2.0 - d1) * math.exp(s1)
+        self.beta = float(u.values[-1]) - 2.0 * s1 - (2.0 - d1)
+
+    def __call__(self, s: np.ndarray, nu: int = 0) -> np.ndarray:
+        """u (nu=0), u' (nu=1) or u'' (nu=2) at s, extended asymptotically."""
+        s = np.asarray(s, dtype=float)
+        out = np.empty_like(s)
+        left = s < self.grid.s_min
+        right = s > self.grid.s_max
+        mid = ~(left | right)
+        out[mid] = self.spline(s[mid], nu=nu)
+        e_left = self.c_left * np.exp(s[left])
+        e_right = self.c_right * np.exp(-s[right])
+        if nu == 0:
+            out[left] = self.alpha + e_left
+            out[right] = 2.0 * s[right] + self.beta + e_right
+        else:
+            out[left] = e_left
+            out[right] = 2.0 - e_right if nu == 1 else e_right
+        return out
 
 
-def _potential_spline(u: ReducedPotential):
-    return make_interp_spline(u.grid.nodes(), u.values, k=5)
-
-
-def evaluate_potential(u: ReducedPotential, s: np.ndarray, spline=None) -> np.ndarray:
-    """Evaluate u off the grid; beyond the sampled range use the exponential
-    corrections to the linear asymptotes (exact up to O(e^{-2|s|}))."""
-    s = np.asarray(s, dtype=float)
+def evaluate_potential(
+    u: ReducedPotential, s: np.ndarray, spline: PotentialSpline | None = None
+) -> np.ndarray:
+    """Evaluate u off the grid with the asymptotic extension of
+    ``PotentialSpline`` (built from u when ``spline`` is None)."""
     if spline is None:
-        spline = _potential_spline(u)
-    alpha, c_left, beta, c_right = _asymptotic_coeffs(u, spline)
-    out = np.empty_like(s)
-    left = s < u.grid.s_min
-    right = s > u.grid.s_max
-    mid = ~(left | right)
-    out[mid] = spline(s[mid])
-    out[left] = alpha + c_left * np.exp(s[left])
-    out[right] = 2.0 * s[right] + beta + c_right * np.exp(-s[right])
-    return out
+        spline = PotentialSpline(u)
+    return spline(s)
 
 
-def evaluate_slope(u: ReducedPotential, s: np.ndarray, spline=None) -> np.ndarray:
+def evaluate_slope(
+    u: ReducedPotential, s: np.ndarray, spline: PotentialSpline | None = None
+) -> np.ndarray:
     """Evaluate u' off the grid with the same asymptotic extension; strictly
     increasing on the whole line for convex input."""
-    s = np.asarray(s, dtype=float)
     if spline is None:
-        spline = _potential_spline(u)
-    alpha, c_left, beta, c_right = _asymptotic_coeffs(u, spline)
-    out = np.empty_like(s)
-    left = s < u.grid.s_min
-    right = s > u.grid.s_max
-    mid = ~(left | right)
-    out[mid] = spline(s[mid], nu=1)
-    out[left] = c_left * np.exp(s[left])
-    out[right] = 2.0 - c_right * np.exp(-s[right])
-    return out
+        spline = PotentialSpline(u)
+    return spline(s, nu=1)
 
 
 def pullback_potential(u: ReducedPotential, tau: float) -> ReducedPotential:

@@ -338,7 +338,10 @@ def run_full_pipeline(config: RunConfig) -> dict:
             "eps_newton": {
                 f"{e:.0e}": {
                     key: solver_info[e][key]
-                    for key in ("iterations", "factorizations", "gmres_iterations")
+                    for key in (
+                        "iterations", "factorizations", "gmres_iterations",
+                        "ridge_retries",
+                    )
                 }
                 for e in eps_desc
             },

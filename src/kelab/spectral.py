@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError, ValidationError
 from .geometry import TWO_PI, FiberGeometry, derivative
@@ -73,20 +74,14 @@ def _refine_pair(diag, off, lam, y, steps=2):
     measure-starved end columns push to ~1e8; one or two shifted solves bring
     the residual down to round-off relative to lam itself.
     """
-    n = diag.size
-    ab = np.zeros((3, n))
     for _ in range(steps):
-        ab[0, 1:] = off
-        ab[1] = diag - lam
-        ab[2, :-1] = off
-        try:
-            z = solve_banded((1, 1), ab, y)
-        except np.linalg.LinAlgError:
+        z, info = dgtsv(off, diag - lam, off, y)[3:]
+        if info > 0:
             # exactly singular shift: nudge it by a relative amount that
             # survives rounding against the largest diagonal entry
-            ab[1] += 1e-14 * max(abs(lam), float(np.max(np.abs(diag))))
-            z = solve_banded((1, 1), ab, y)
-        if not np.all(np.isfinite(z)):
+            nudge = 1e-14 * max(abs(lam), float(np.max(np.abs(diag))))
+            z, info = dgtsv(off, diag - lam + nudge, off, y)[3:]
+        if info != 0 or not np.all(np.isfinite(z)):
             return lam, y
         z /= np.linalg.norm(z)
         ty = diag * z

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -147,8 +149,12 @@ def test_pipeline_report_schema(small_pipeline):
     newton = rep["convergence"]["eps_newton"]
     assert set(newton) == {"1e-01", "3e-02", "1e-02"}
     for counts in newton.values():
-        assert set(counts) == {"iterations", "factorizations", "gmres_iterations"}
+        assert set(counts) == {
+            "iterations", "factorizations", "gmres_iterations", "ridge_retries"
+        }
         assert all(isinstance(v, int) and v >= 0 for v in counts.values())
+        # each Newton iteration factors at most once, plus once per ridge retry
+        assert counts["factorizations"] <= counts["iterations"] + counts["ridge_retries"]
     assert sum(c["factorizations"] for c in newton.values()) < sum(
         c["iterations"] for c in newton.values()
     )
@@ -346,3 +352,13 @@ def test_float_formatting_17g(small_pipeline):
     text = (small_pipeline / "report.json").read_text()
     rep = json.loads(text)
     assert isinstance(rep["automorphism"]["a"], float)
+
+
+def test_python_dash_m_kelab():
+    src = os.path.dirname(os.path.dirname(kelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kelab", "--help"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "pipeline" in proc.stdout

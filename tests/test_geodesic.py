@@ -94,6 +94,27 @@ def test_legendre_solves_degenerate_equation(geodesic_suite):
     assert np.max(np.abs(res)) < 20.0 * (grid.ds ** 2 + leg.dt ** 2) * scale
 
 
+def test_legendre_path_solves_all_rows_at_once(monkeypatch):
+    # one bracket bisection plus a few Newton sweeps over every (t, s) node;
+    # 63 rows of 64-step bisection made 8064 slope evaluations
+    grid = kl.SGrid(-15.0, 15.0, 257)
+    u0 = solve_ke(grid)
+    u1 = kl.pullback_potential(u0, 0.5)
+    calls = []
+    real = geodesic.evaluate_slope
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geodesic, "evaluate_slope", counted)
+    path = geodesic.legendre_path(u0, u1, 65)
+    assert len(calls) <= 200
+    for j in (1, 32, 63):
+        fiber = legendre_geodesic(u0, u1, float(path.t_grid[j]))
+        assert np.array_equal(fiber.values, path.values[j])
+
+
 def test_legendre_validates_inputs(ke_pair):
     _, u0, u1 = ke_pair
     with pytest.raises(ValidationError):

@@ -1,7 +1,8 @@
 """Property tests of the discrete theory over random convex potentials:
 lambda_1 >= 1, the slope mode at eigenvalue exactly 1, Parseval for the
-eigen-expansion, a nonnegative spectral defect, and convexity of the Ding
-functional along the exact geodesic between two such potentials."""
+eigen-expansion, a nonnegative spectral defect, convexity of the Ding
+functional along the exact geodesic between two such potentials, and that
+geodesic's root solve against a plain per-row bisection."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import kelab as kl
 from kelab.functionals import ding_derivatives
 from kelab.geodesic import legendre_path
-from kelab.geometry import unit_eigenmode
+from kelab.geometry import PotentialSpline, evaluate_potential, evaluate_slope, unit_eigenmode
 from kelab.quadrature import dbar_norm_sq, inner_product, project_perp, weighted_integral
 from kelab.spectral import assemble_weighted_laplacian, eigendecompose
 
@@ -87,3 +88,36 @@ def test_ding_convex_along_geodesic(u0, u1):
     rep = ding_derivatives(legendre_path(u0, u1, 17))
     assert rep.dsecond.min() >= -1e-9
     assert rep.int_delta_exp.min() >= -1e-9
+
+
+def _bisection_legendre_path(u0, u1, m):
+    """Reference: each interior row's root u0'(sigma0) = u1'(sigma1) by 64
+    bisection steps over [s_min - span, s_max + span]."""
+    s = GRID.nodes()
+    sp0, sp1 = PotentialSpline(u0), PotentialSpline(u1)
+    span = GRID.s_max - GRID.s_min
+    t_grid = np.linspace(0.0, 1.0, m)
+    rows = np.empty((m, GRID.n))
+    rows[0], rows[-1] = u0.values, u1.values
+    for j in range(1, m - 1):
+        t = float(t_grid[j])
+        lo = np.full(GRID.n, GRID.s_min - span)
+        hi = np.full(GRID.n, GRID.s_max + span)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            g = evaluate_slope(u0, mid, sp0) - evaluate_slope(u1, (s - (1.0 - t) * mid) / t, sp1)
+            lo = np.where(g < 0.0, mid, lo)
+            hi = np.where(g < 0.0, hi, mid)
+        sigma0 = 0.5 * (lo + hi)
+        sigma1 = (s - (1.0 - t) * sigma0) / t
+        rows[j] = (1.0 - t) * evaluate_potential(u0, sigma0, sp0) + t * evaluate_potential(
+            u1, sigma1, sp1
+        )
+    return rows
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(convex_potentials(), convex_potentials())
+def test_legendre_path_matches_bisection(u0, u1):
+    path = legendre_path(u0, u1, 17)
+    assert np.max(np.abs(path.values - _bisection_legendre_path(u0, u1, 17))) <= 1e-13
