@@ -1,6 +1,15 @@
 """Numerical laboratory for circle-invariant Kahler-Einstein metrics on the
 sphere: weighted Laplacian spectra, Ding functional convexity along
-Monge-Ampere geodesics, and extraction of the limiting holomorphic field."""
+Monge-Ampere geodesics, and extraction of the limiting holomorphic field.
+
+Set KELAB_THREADS to cap the BLAS thread pools; it takes effect here, before
+any kelab module imports numpy (an explicitly set OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS or MKL_NUM_THREADS wins)."""
+import os
+
+if "KELAB_THREADS" in os.environ:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["KELAB_THREADS"])
 
 from .errors import (
     ConvergenceError,

@@ -2,17 +2,11 @@
 
 Exit codes: 0 success, 1 configuration/validation problem, 2 solver
 failure (non-convergence or a limit that cannot be extracted or does not
-match the endpoints), 3 I/O failure.  Set KELAB_THREADS to cap the BLAS thread
-pools before numpy is imported.
+match the endpoints), 3 I/O failure.  KELAB_THREADS caps the BLAS thread
+pools; the package's ``__init__`` applies it before numpy is imported.
 """
-import os
-import sys
-
-if "KELAB_THREADS" in os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["KELAB_THREADS"])
-
 import argparse
+import sys
 
 from .errors import KelabError, ValidationError
 from .pipeline import RunConfig, load_config, run_full_pipeline, run_ke_solve, run_spectrum

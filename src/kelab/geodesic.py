@@ -26,8 +26,11 @@ Three solvers live here:
   asymptotic extension of the adjacent node), and a convexity guard in the
   line search.  Its linear solves are Newton-Krylov with a lagged
   factorisation: one sparse LU, in a fill-reducing minimum-degree order,
-  preconditions GMRES on later Jacobians (and on the next epsilon of a
-  sweep) until GMRES needs more than ``_KRYLOV_CAP`` iterations.
+  right-preconditions GMRES on later Jacobians (and on the next epsilon of
+  a sweep) until GMRES needs more than ``_KRYLOV_CAP`` iterations.  GMRES
+  stops on the true residual, the test a step must pass.  A factor built at
+  the degenerate exact-geodesic start preconditions nothing later and is
+  released after its own step.
 """
 from __future__ import annotations
 
@@ -462,18 +465,32 @@ class LaggedLU:
 
 
 def _lagged_krylov(jac, rhs, lu, rtol: float, atol: float):
-    """GMRES on jac x = rhs preconditioned by a lagged factor ``lu``.
+    """GMRES on jac x = rhs, right-preconditioned by a lagged factor ``lu``.
 
-    Returns (x or None, iterations); None when one restart cycle of
-    ``_KRYLOV_CAP`` iterations does not reach max(rtol ||rhs||, atol).
+    GMRES runs on y -> jac lu^{-1} y and returns x = lu^{-1} y, so its own
+    stopping test is on the true residual ||jac x - rhs||_2 <= max(rtol
+    ||rhs||_2, atol), the test a step must pass (left preconditioning would
+    test the preconditioned residual, which can pass while the true one
+    fails).  Returns (x or None, iterations); None when one restart cycle of
+    ``_KRYLOV_CAP`` iterations does not meet that test.
     """
+    last = {}
+
+    def apply(v):
+        last["y"], last["x"] = v.copy(), lu.solve(v)
+        return jac @ last["x"]
+
     residuals = []
-    x, info = gmres(
-        jac, rhs, rtol=rtol, atol=atol, restart=_KRYLOV_CAP, maxiter=1,
-        M=LinearOperator(jac.shape, lu.solve), callback=residuals.append,
-        callback_type="pr_norm",
+    y, info = gmres(
+        LinearOperator(jac.shape, apply, dtype=jac.dtype), rhs,
+        rtol=rtol, atol=atol, restart=_KRYLOV_CAP, maxiter=1,
+        callback=residuals.append, callback_type="pr_norm",
     )
-    return (x if info == 0 else None), len(residuals)
+    if info != 0:
+        return None, len(residuals)
+    # GMRES's closing true-residual check applied the operator to y itself
+    x = last["x"] if np.array_equal(last.get("y"), y) else lu.solve(y)
+    return x, len(residuals)
 
 
 def solve_epsilon_geodesic(
@@ -501,14 +518,18 @@ def solve_epsilon_geodesic(
     from the exact-geodesic start is quadratic after at most a few damped
     steps.
 
-    Each Newton direction comes from GMRES preconditioned by the last LU
-    held in ``factor`` (a fresh ``LaggedLU`` when None), to the forcing
-    tolerance min(1e-6, residual) relative or a tenth of the residual
-    target absolute; when GMRES misses it within ``_KRYLOV_CAP`` iterations
-    the Jacobian is factored afresh and solved directly.  Ridge retries are
-    always factored afresh, so each Newton iteration factors at most once
-    plus once per ridge retry.  ``info`` (``full_output``) counts the Newton
-    iterations, factorisations, GMRES iterations and ridge retries.
+    Each Newton direction comes from GMRES right-preconditioned by the last
+    LU held in ``factor`` (a fresh ``LaggedLU`` when None), stopped on the
+    true residual at the forcing tolerance min(1e-6, residual) relative or a
+    tenth of the residual target absolute (``_lagged_krylov``); when GMRES
+    misses it within ``_KRYLOV_CAP`` iterations the Jacobian is factored
+    afresh and solved directly.  Ridge retries are always factored afresh,
+    so each Newton iteration factors at most once plus once per ridge retry.
+    When the start is the exact geodesic (``initial`` None, of epsilon 0 or
+    of another shape), a factor built on the first step is released after
+    it: that Jacobian is singular along the characteristic direction and
+    preconditions no later one.  ``info`` (``full_output``) counts the
+    Newton iterations, factorisations, GMRES iterations and ridge retries.
     """
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
@@ -541,8 +562,10 @@ def solve_epsilon_geodesic(
 
     if initial is not None and initial.values.shape == (m, n):
         U = rebuild(np.array(initial.values))
+        degenerate = initial.epsilon == 0.0
     else:
         U = rebuild(np.array(legendre_path(u0, u1, m, background).values))
+        degenerate = True
 
     mi, ni = m - 2, n - 2
     hin = hpp[1:-1]
@@ -648,6 +671,10 @@ def solve_epsilon_geodesic(
         ridge *= 0.1
         if ridge < 1e-9:
             ridge = 0.0
+        if it == 0 and degenerate and n_lu:
+            # a factor of the degenerate start's Jacobian preconditions
+            # nothing later: a GMRES cycle on it only precedes a refactor
+            factor.lu = None
         history.append(rnorm)
         it += 1
     if rnorm > target:

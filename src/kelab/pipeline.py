@@ -296,9 +296,6 @@ def run_full_pipeline(config: RunConfig) -> dict:
         a_scale, endpoint_err = lim.reconstruct_automorphism(fld_mid, u0, u1)
 
     holo_series = {e: _velocity_holo_defect(sweep[e], mid_t) for e in eps_desc}
-    holo_rate = float(
-        np.polyfit(log_e, np.log(np.maximum([holo_series[e] for e in eps_desc], 1e-300)), 1)[0]
-    )
     if fld_mid.trivial:
         weak_gaps = {e: 0.0 for e in eps_desc}
     else:
@@ -333,7 +330,6 @@ def run_full_pipeline(config: RunConfig) -> dict:
             "rate_exponent": rate,
             "pde_residual": {f"{e:.0e}": pde_residuals[e] for e in eps_desc},
             "holo_defect": {f"{e:.0e}": holo_series[e] for e in eps_desc},
-            "holo_rate_exponent": holo_rate,
             "weak_product_gap": {f"{e:.0e}": weak_gaps[e] for e in eps_desc},
             "eps_newton": {
                 f"{e:.0e}": {

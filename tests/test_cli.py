@@ -146,6 +146,10 @@ def test_pipeline_report_schema(small_pipeline):
         "t", "lambda1", "defect", "C_t", "c", "holo_residual", "eigen_residual"
     }
     assert rep["tau"] == 0.5
+    assert set(rep["convergence"]) == {
+        "sup_deviation", "rate_exponent", "pde_residual", "holo_defect",
+        "weak_product_gap", "eps_newton",
+    }
     newton = rep["convergence"]["eps_newton"]
     assert set(newton) == {"1e-01", "3e-02", "1e-02"}
     for counts in newton.values():
@@ -362,3 +366,22 @@ def test_python_dash_m_kelab():
     )
     assert proc.returncode == 0, proc.stderr
     assert "pipeline" in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_kelab_threads_caps_blas_pool():
+    # the cap must be set before numpy loads OpenBLAS, which importing the
+    # package (before kelab.cli runs) already does
+    src = os.path.dirname(os.path.dirname(kelab.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(KELAB_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import os, kelab.cli, numpy as np\n"
+            "a = np.ones((400, 400)); a @ a\n"
+            "print(len(os.listdir('/proc/self/task')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import kelab as kl
 import kelab.geodesic as geodesic
@@ -260,6 +261,71 @@ def test_stale_factor_is_refactored(small_pair, size):
         assert info["gmres_iterations"] >= geodesic._KRYLOV_CAP
     assert info["residual"] <= 1e-10
     assert np.max(np.abs(monge_ampere_residual(sol))) <= 1e-10
+
+
+def test_lagged_krylov_stops_on_the_true_residual():
+    # the factor is of jac D^{-1}, D two clusters of scale 1 and 1e4: the
+    # preconditioned operator jac D jac^{-1} has two eigenvalue clusters, so
+    # GMRES converges within the cap, while the left-preconditioned residual
+    # D jac^{-1} r underweights one cluster by 1e4 and passes early
+    rng = np.random.default_rng(0)
+    n = 400
+    jac = (4.0 * sp.identity(n) + sp.random(n, n, density=0.01, random_state=rng)).tocsc()
+    d = np.where(np.arange(n) % 2 == 0, 1.0, 1e4) * (1.0 + 0.01 * rng.standard_normal(n))
+    lu = splu((jac @ sp.diags(1.0 / d)).tocsc())
+    rhs = rng.standard_normal(n)
+    for rtol, atol in ((1e-8, 0.0), (0.0, 1e-7), (1e-8, 1e-6)):
+        x, k = geodesic._lagged_krylov(jac, rhs, lu, rtol, atol)
+        assert x is not None and 0 < k <= geodesic._KRYLOV_CAP
+        assert np.linalg.norm(jac @ x - rhs) <= max(rtol * np.linalg.norm(rhs), atol)
+    unrelated = splu(sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tocsc())
+    x, k = geodesic._lagged_krylov(jac, rhs, unrelated, 1e-8, 0.0)
+    assert x is None and k == geodesic._KRYLOV_CAP
+
+
+@pytest.fixture(scope="module")
+def ke_129():
+    return solve_ke(kl.SGrid(-15.0, 15.0, 129))
+
+
+def test_sweep_drops_the_degenerate_start_factor(ke_129, monkeypatch):
+    # the factor built at the exact geodesic (eps = 0) is released after its
+    # own step and GMRES stops only on the true residual, so the whole sweep
+    # factors twice, both times in eps = 0.1's damped phase
+    u0 = ke_129
+    built, used = [], []
+    real_splu, real_krylov = geodesic.splu, geodesic._lagged_krylov
+
+    def counted(*args, **kwargs):
+        built.append(real_splu(*args, **kwargs))
+        return built[-1]
+
+    def recorded(jac, rhs, lu, rtol, atol):
+        used.append(lu)
+        return real_krylov(jac, rhs, lu, rtol, atol)
+
+    monkeypatch.setattr(geodesic, "splu", counted)
+    monkeypatch.setattr(geodesic, "_lagged_krylov", recorded)
+    sweep, infos = kl.solve_epsilon_sweep(
+        u0, kl.pullback_potential(u0, 0.5), (1e-1, 1e-2, 1e-3), 17, full_output=True
+    )
+    assert len(built) == sum(info["factorizations"] for info in infos.values()) <= 2
+    assert used and all(lu is not built[0] for lu in used)
+    for eps, sol in sweep.items():
+        assert infos[eps]["residual"] <= 1e-10
+        assert np.max(np.abs(monge_ampere_residual(sol))) <= 1e-10
+
+
+@pytest.mark.parametrize("tau", [-7.0, 7.0, 7.5])
+def test_sweep_converges_at_large_shear(ke_129, tau):
+    # descending eps warm-starts each solve from a smoother one; solved first
+    # from the exact geodesic, eps = 1e-3 does not converge at these tau
+    u0 = ke_129
+    sweep = kl.solve_epsilon_sweep(
+        u0, kl.pullback_potential(u0, tau), (1e-1, 1e-2, 1e-3), 17
+    )
+    for sol in sweep.values():
+        assert np.max(np.abs(monge_ampere_residual(sol))) <= 1e-10
 
 
 def test_chen_bounds_uniform(geodesic_suite):
