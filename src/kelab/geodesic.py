@@ -88,21 +88,24 @@ def _quad_weights_tail(grid: SGrid) -> np.ndarray:
     return c
 
 
+def _ode_rows(v: np.ndarray, ds: float) -> np.ndarray:
+    """v'' at the interior nodes: fourth-order inside, three-point at the
+    nodes next to the ends."""
+    d2 = np.empty(v.size - 2)
+    d2[1:-1] = (
+        -v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]
+    ) / (12.0 * ds * ds)
+    d2[0] = (v[0] - 2.0 * v[1] + v[2]) / (ds * ds)
+    d2[-1] = (v[-3] - 2.0 * v[-2] + v[-1]) / (ds * ds)
+    return d2
+
+
 def ke_residual(u: ReducedPotential) -> np.ndarray:
     """Residual of u'' = 2 e^{s-u}/Q at the interior nodes (fourth-order)."""
     grid = u.grid
-    s = grid.nodes()
-    v = u.values
-    ds = grid.ds
-    rho = np.exp(s - v)
+    rho = np.exp(grid.nodes() - u.values)
     q = float(_quad_weights_tail(grid) @ rho)
-    res = np.empty(grid.n - 2)
-    res[1:-1] = (
-        -v[:-4] + 16.0 * v[1:-3] - 30.0 * v[2:-2] + 16.0 * v[3:-1] - v[4:]
-    ) / (12.0 * ds * ds) - 2.0 * rho[2:-2] / q
-    res[0] = (v[0] - 2.0 * v[1] + v[2]) / (ds * ds) - 2.0 * rho[1] / q
-    res[-1] = (v[-3] - 2.0 * v[-2] + v[-1]) / (ds * ds) - 2.0 * rho[-2] / q
-    return res
+    return _ode_rows(u.values, grid.ds) - 2.0 * rho[1:-1] / q
 
 
 def _default_ke_guess(grid: SGrid) -> np.ndarray:
@@ -127,7 +130,7 @@ def solve_ke(
     ConvergenceError if the residual does not reach ``tol`` in ``max_iter``
     damped steps.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN included
         raise ValidationError("tol must be positive")
     s = grid.nodes()
     n = grid.n
@@ -151,8 +154,6 @@ def solve_ke(
     w_val = _interp_row(xs, 0.0, 0)
     w_der = _interp_row(xs, 0.0, 1)
 
-    d2_4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * ds * ds)
-    d2_3 = np.array([1.0, -2.0, 1.0]) / (ds * ds)
     # Robin closures over the outermost six nodes: u' - u'' = 0 on the left,
     # u' + u'' = 2 on the right (mirrored stencils)
     row_l = -_D2_EDGE / (ds * ds)
@@ -161,16 +162,28 @@ def solve_ke(
     row_r[1:] -= _D1_EDGE[::-1] / ds
     robin_l_const = float(bp[0] - bpp[0])
     robin_r_const = float(bp[-1] + bpp[-1]) - 2.0
+    # the ODE rows: every interior row but the two the gauge pins take
+    ode = np.ones(n, dtype=bool)
+    ode[[0, n - 1, *pin_rows]] = False
+
+    # the Jacobian's constant part: ODE stencils, Robin rows and pin rows;
+    # (row, first column, weights) of the rows that are not five-point
+    five = np.nonzero(ode[2:-2])[0] + 2
+    d2_4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * ds * ds)
+    d2_3 = np.array([1.0, -2.0, 1.0]) / (ds * ds)
+    short = [(1, 0, d2_3), (n - 2, n - 3, d2_3), (0, 0, row_l), (n - 1, n - 6, row_r),
+             (pin_rows[0], start, w_val), (pin_rows[1], start, w_der)]
+    rows = np.concatenate([np.repeat(five, 5)] + [np.full(w.size, i) for i, _, w in short])
+    cols = np.concatenate([(five[:, None] + np.arange(-2, 3)).ravel()]
+                          + [c + np.arange(w.size) for _, c, w in short])
+    vals = np.concatenate([np.tile(d2_4, five.size)] + [w for _, _, w in short])
+    stencil = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
     def system(vv: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         rho = np.exp(s - b - vv)
         q = float(cq @ rho)
         g = np.empty(n)
-        g[2:-2] = (
-            -vv[:-4] + 16.0 * vv[1:-3] - 30.0 * vv[2:-2] + 16.0 * vv[3:-1] - vv[4:]
-        ) / (12.0 * ds * ds) + bpp[2:-2] - 2.0 * rho[2:-2] / q
-        g[1] = (vv[0] - 2.0 * vv[1] + vv[2]) / (ds * ds) + bpp[1] - 2.0 * rho[1] / q
-        g[-2] = (vv[-3] - 2.0 * vv[-2] + vv[-1]) / (ds * ds) + bpp[-2] - 2.0 * rho[-2] / q
+        g[1:-1] = _ode_rows(vv, ds) + bpp[1:-1] - 2.0 * rho[1:-1] / q
         g[0] = float(row_l @ vv[:6]) + robin_l_const
         g[-1] = float(row_r @ vv[-6:]) + robin_r_const
         g[pin_rows[0]] = float(w_val @ vv[start : start + 6])
@@ -178,28 +191,10 @@ def solve_ke(
         return g, rho, q
 
     def jacobian(rho: np.ndarray, q: float):
-        jac = sp.lil_matrix((n, n))
-        for i in range(2, n - 2):
-            jac[i, i - 2 : i + 3] = d2_4
-            jac[i, i] += 2.0 * rho[i] / q
-        jac[1, 0:3] = d2_3
-        jac[1, 1] += 2.0 * rho[1] / q
-        jac[n - 2, n - 3 : n] = d2_3
-        jac[n - 2, n - 2] += 2.0 * rho[-2] / q
-        jac[0, :6] = row_l
-        jac[n - 1, n - 6 :] = row_r
-        jac[pin_rows[0], :] = 0.0
-        jac[pin_rows[0], start : start + 6] = w_val
-        jac[pin_rows[1], :] = 0.0
-        jac[pin_rows[1], start : start + 6] = w_der
+        jac = stencil + sp.diags(np.where(ode, 2.0 * rho / q, 0.0))  # CSC
         # rank-one part from the mass integral Q(u)
-        r = np.zeros(n)
-        r[2:-2] = -2.0 * rho[2:-2] / (q * q)
-        r[1] = -2.0 * rho[1] / (q * q)
-        r[-2] = -2.0 * rho[-2] / (q * q)
-        r[list(pin_rows)] = 0.0
-        qvec = cq * rho
-        return jac.tocsc(), r, qvec
+        r = np.where(ode, -2.0 * rho / (q * q), 0.0)
+        return jac, r, cq * rho
 
     history = []
     g, rho, q = system(v)
@@ -336,14 +331,14 @@ class SpacetimePotential:
     The path owns its time derivatives ``phi_p``/``phi_pp`` (one second-order
     differencing of the whole array) and the ``FiberGeometry`` of each fiber;
     both caches are filled on first use, so a path fresh out of the solver
-    holds only its values.
+    holds only its values.  The reference form of the epsilon-equation is
+    the round metric on the path's grid (``background``).
     """
 
     t_grid: np.ndarray
     grid: SGrid
     values: np.ndarray        # shape (m, n)
     epsilon: float
-    background: ReducedPotential
     _geometries: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -360,6 +355,11 @@ class SpacetimePotential:
     @property
     def dt(self) -> float:
         return float(self.t_grid[1] - self.t_grid[0])
+
+    @cached_property
+    def background(self) -> ReducedPotential:
+        """The reference round metric omega of eps * omega."""
+        return fubini_study_potential(self.grid)
 
     @cached_property
     def _time_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
@@ -394,10 +394,7 @@ class SpacetimePotential:
         return j
 
 
-def legendre_path(
-    u0: ReducedPotential, u1: ReducedPotential, m: int,
-    background: ReducedPotential | None = None,
-) -> SpacetimePotential:
+def legendre_path(u0: ReducedPotential, u1: ReducedPotential, m: int) -> SpacetimePotential:
     """Exact geodesic sampled on m uniform time slices (epsilon = 0)."""
     if m < 3:
         raise ValidationError("need at least 3 time samples")
@@ -406,10 +403,7 @@ def legendre_path(
     rows[0] = u0.values
     rows[-1] = u1.values
     rows[1:-1] = _legendre_fibers(u0, u1, t_grid[1:-1])
-    return SpacetimePotential(
-        t_grid, u0.grid, rows, 0.0,
-        background if background is not None else fubini_study_potential(u0.grid),
-    )
+    return SpacetimePotential(t_grid, u0.grid, rows, 0.0)
 
 
 def _spacetime_derivatives(U: np.ndarray, dt: float, ds: float):
@@ -499,7 +493,6 @@ def solve_epsilon_geodesic(
     epsilon: float,
     m: int,
     tol: float = 1e-10,
-    background: ReducedPotential | None = None,
     initial: SpacetimePotential | None = None,
     max_iter: int = 80,
     full_output: bool = False,
@@ -533,6 +526,8 @@ def solve_epsilon_geodesic(
     """
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
+    if not tol > 0.0:  # NaN included
+        raise ValidationError("tol must be positive")
     if u0.grid != u1.grid:
         raise ValidationError("endpoints must share a grid")
     u0.validate()
@@ -540,9 +535,7 @@ def solve_epsilon_geodesic(
     grid = u0.grid
     n = grid.n
     ds = grid.ds
-    if background is None:
-        background = fubini_study_potential(grid)
-    hpp = second_derivative(background.values, ds)
+    hpp = second_derivative(fubini_study_potential(grid).values, ds)
     t_grid = np.linspace(0.0, 1.0, m)
     dt = float(t_grid[1] - t_grid[0])
     inc_left = _clamp_increments(
@@ -564,7 +557,7 @@ def solve_epsilon_geodesic(
         U = rebuild(np.array(initial.values))
         degenerate = initial.epsilon == 0.0
     else:
-        U = rebuild(np.array(legendre_path(u0, u1, m, background).values))
+        U = rebuild(np.array(legendre_path(u0, u1, m).values))
         degenerate = True
 
     mi, ni = m - 2, n - 2
@@ -684,7 +677,7 @@ def solve_epsilon_geodesic(
     # space-time convexity must hold at every interior node
     if np.min(dtt * dss - dts * dts) <= 0.0 or np.min(dss) <= 0.0:
         raise ConvergenceError("solution lost space-time positivity")
-    out = SpacetimePotential(t_grid, grid, U, epsilon, background)
+    out = SpacetimePotential(t_grid, grid, U, epsilon)
     if full_output:
         return out, {
             "iterations": it, "residual": rnorm, "history": history,
@@ -700,7 +693,6 @@ def solve_epsilon_sweep(
     eps_schedule,
     m: int,
     tol: float = 1e-10,
-    background: ReducedPotential | None = None,
     initial: SpacetimePotential | None = None,
     full_output: bool = False,
 ):
@@ -718,7 +710,7 @@ def solve_epsilon_sweep(
     factor = LaggedLU()
     for eps in eps_sorted:
         sol, info = solve_epsilon_geodesic(
-            u0, u1, eps, m, tol=tol, background=background, initial=prev,
+            u0, u1, eps, m, tol=tol, initial=prev,
             full_output=True, factor=factor,
         )
         out[eps] = sol
@@ -761,13 +753,13 @@ def verify_chen_bounds(solutions: dict[float, SpacetimePotential]) -> ChenBounds
     p1, p2, uss, uts = [], [], [], []
     for eps in eps_sorted:
         sol = solutions[eps]
-        U = sol.values
-        ds = sol.grid.ds
-        d_ss = (U[:, 2:] - 2.0 * U[:, 1:-1] + U[:, :-2]) / (ds * ds)
-        d_ts = _spacetime_derivatives(U, sol.dt, ds)[2]
+        d_ts = _spacetime_derivatives(sol.values, sol.dt, sol.grid.ds)[2]
         p1.append(float(np.max(np.abs(sol.phi_p[1:-1]))))
         p2.append(float(np.max(np.abs(sol.phi_pp[1:-1]))))
-        uss.append(float(np.max(np.abs(d_ss))))
+        uss.append(max(
+            float(np.max(np.abs(sol.geometry(j).u_pp[1:-1])))
+            for j in range(sol.t_grid.size)
+        ))
         uts.append(float(np.max(np.abs(d_ts))))
     flagged = False
     for series in (p1, p2, uss, uts):
@@ -792,7 +784,6 @@ def save_spacetime(spacetime: SpacetimePotential, json_path, csv_path) -> None:
         "t_grid": {"m": int(spacetime.t_grid.size)},
         "grid": spacetime.grid.to_dict(),
         "epsilon": float(spacetime.epsilon),
-        "background": spacetime.background.to_dict(),
         "payload": os.path.relpath(os.path.abspath(csv_path), header_dir),
     }
     dump_json(header, json_path)
@@ -808,11 +799,7 @@ def load_spacetime(json_path, csv_path=None) -> SpacetimePotential:
         csv_path = os.path.join(header_dir, header["payload"])
     values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
     m = int(header["t_grid"]["m"])
-    grid = SGrid.from_dict(header["grid"])
     return SpacetimePotential(
-        np.linspace(0.0, 1.0, m),
-        grid,
-        values,
+        np.linspace(0.0, 1.0, m), SGrid.from_dict(header["grid"]), values,
         float(header["epsilon"]),
-        ReducedPotential.from_dict(header["background"]),
     )

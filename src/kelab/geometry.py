@@ -111,24 +111,16 @@ def second_derivative(values: np.ndarray, ds: float) -> np.ndarray:
 
 
 def time_derivatives(matrix: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Second-order phi' and phi'' in t along the rows (one-sided at the
-    endpoints)."""
+    """Second-order phi' and phi'' in t along the rows: ``derivative`` and
+    ``second_derivative`` on axis 0 (one-sided at the endpoints)."""
     m = matrix.shape[0]
     if m < 3:
         raise ValidationError("need at least 3 time samples")
-    d1 = np.empty_like(matrix)
-    d1[1:-1] = (matrix[2:] - matrix[:-2]) / (2.0 * dt)
-    d1[0] = (-3.0 * matrix[0] + 4.0 * matrix[1] - matrix[2]) / (2.0 * dt)
-    d1[-1] = (3.0 * matrix[-1] - 4.0 * matrix[-2] + matrix[-3]) / (2.0 * dt)
-    d2 = np.empty_like(matrix)
-    d2[1:-1] = (matrix[2:] - 2.0 * matrix[1:-1] + matrix[:-2]) / (dt * dt)
-    if m >= 4:
-        d2[0] = (2.0 * matrix[0] - 5.0 * matrix[1] + 4.0 * matrix[2] - matrix[3]) / (dt * dt)
-        d2[-1] = (2.0 * matrix[-1] - 5.0 * matrix[-2] + 4.0 * matrix[-3] - matrix[-4]) / (dt * dt)
-    else:
-        d2[0] = d2[1]
-        d2[-1] = d2[-2]
-    return d1, d2
+    if m == 3:
+        # one interior slice: its central phi'' stands for all three rows
+        d2 = (matrix[2:] - 2.0 * matrix[1:-1] + matrix[:-2]) / (dt * dt)
+        return derivative(matrix, dt), np.repeat(d2, 3, axis=0)
+    return derivative(matrix, dt), second_derivative(matrix, dt)
 
 
 @dataclass(frozen=True)
@@ -337,16 +329,17 @@ def fiber_geometry(u: ReducedPotential) -> FiberGeometry:
         raise PositivityError(f"u'' <= 0 at index {int(bad[0])}", index=int(bad[0]))
     F = s - u.values - np.log(upp)
     w = np.exp(s - u.values)
-    mass = TWO_PI * float(trapezoid_weights(grid.n, grid.ds) @ w)
-    wmax = float(w.max())
-    if w[0] > 1e-6 * wmax or w[-1] > 1e-6 * wmax:
+    mass_w = float(trapezoid_weights(grid.n, grid.ds) @ w)
+    # both tails decay at unit rate, so the mass beyond each end is about
+    # that end's w: warn when it exceeds 1e-6 of the fibre's mass
+    if w[0] + w[-1] > 1e-6 * mass_w:
         # constant message so the warnings module deduplicates repeat hits
         warnings.warn(
             "weighted measure not negligible at the truncated ends; "
             "consider a wider s-range",
             stacklevel=2,
         )
-    return FiberGeometry(grid, upp, F, w, mass)
+    return FiberGeometry(grid, upp, F, w, TWO_PI * mass_w)
 
 
 def random_convex_potential(

@@ -67,15 +67,20 @@ class RunConfig:
     k: int = 8
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValidationError("tolerance must be positive")
         eps = tuple(float(e) for e in self.eps)
         object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "s_range", (float(self.s_range[0]), float(self.s_range[1])))
+        for name, values in (
+            ("tol", [self.tol]), ("tau", [self.tau]), ("eps", eps), ("s_range", self.s_range)
+        ):
+            if not np.all(np.isfinite(values)):
+                raise ValidationError(f"{name} must be finite, got {', '.join(map(str, values))}")
+        if self.tol <= 0.0:
+            raise ValidationError("tolerance must be positive")
         if any(e <= 0.0 for e in eps):
             raise ValidationError("epsilon values must be positive")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValidationError("epsilon schedule must be strictly decreasing")
-        object.__setattr__(self, "s_range", (float(self.s_range[0]), float(self.s_range[1])))
         self.grid()  # validate n and the range
 
     def grid(self) -> SGrid:

@@ -1,8 +1,6 @@
 """Shared fixtures.  The expensive objects (KE solve, epsilon sweep, fiber
 traces) are built once per session and reused by the unit and acceptance
 suites."""
-import warnings
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,6 @@ import kelab as kl
 from kelab.functionals import ding_derivatives
 from kelab.geodesic import legendre_path
 from kelab.geometry import fiber_geometry
-
-warnings.filterwarnings(
-    "ignore", message="weighted measure not negligible.*"
-)
 
 TAU = 0.5
 EPS_SCHEDULE = (1e-1, 1e-2, 1e-3)

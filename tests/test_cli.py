@@ -252,12 +252,29 @@ def test_config_file_with_overrides(tmp_path):
         ('{"nn": 129}', "unknown config key(s): nn"),
         ('{"n": 129, "m": 17', "malformed config file"),
         ("[129, 17]", "config must be a JSON object"),
+        ('{"s_range": [-Infinity, 15]}', "s_range must be finite, got -inf, 15.0"),
     ],
 )
 def test_bad_config_file_is_validation_error(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     assert main(["ke-solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["ke-solve", "--tol", "nan", "--n", "129"], "tol must be finite"),
+        (["pipeline", "--eps", "0.1", "nan", "0.001", "--n", "129", "--m", "17"],
+         "eps must be finite"),
+        (["pipeline", "--tol", "nan", "--n", "129", "--m", "17"], "tol must be finite"),
+    ],
+)
+def test_non_finite_flag_is_validation_error(tmp_path, capsys, args, message):
+    assert main(args + ["--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert not (tmp_path / "o").exists()

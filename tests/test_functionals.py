@@ -75,7 +75,7 @@ def test_f_functional_values(fs_1025):
 def test_constant_path_derivatives(fs_1025):
     fs, _ = fs_1025
     path = kl.SpacetimePotential(
-        np.linspace(0, 1, 9), fs.grid, np.tile(fs.values, (9, 1)), 0.0, fs
+        np.linspace(0, 1, 9), fs.grid, np.tile(fs.values, (9, 1)), 0.0
     )
     rep = ding_derivatives(path)
     assert np.max(np.abs(rep.dprime)) < 1e-9

@@ -18,6 +18,7 @@ from kelab.geodesic import (
     verify_chen_bounds,
 )
 from kelab.geometry import derivative, second_derivative
+from kelab.serialize import dump_json, load_json
 
 
 def test_solve_ke_matches_round_metric():
@@ -56,8 +57,9 @@ def test_solve_ke_quadratic_tail():
 
 
 def test_solve_ke_rejects_bad_tol():
-    with pytest.raises(ValidationError):
-        solve_ke(kl.SGrid(-15.0, 15.0, 513), tol=-1.0)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            solve_ke(kl.SGrid(-15.0, 15.0, 513), tol=tol)
 
 
 def test_legendre_endpoints(ke_pair):
@@ -200,6 +202,8 @@ def test_epsilon_solver_validates(ke_pair):
     _, u0, u1 = ke_pair
     with pytest.raises(ValidationError):
         solve_epsilon_geodesic(u0, u1, -1.0, 17)
+    with pytest.raises(ValidationError):
+        solve_epsilon_geodesic(u0, u1, 0.1, 17, tol=float("nan"))
 
 
 def test_newton_quadratic_once_elliptic(ke_pair):
@@ -364,6 +368,21 @@ def test_spacetime_header_is_portable(geodesic_suite, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path / "elsewhere")
     back = load_spacetime(tmp_path / "rel_out" / "st.json")
     assert np.array_equal(back.values, sol.values)
+
+
+def test_spacetime_header_without_background(geodesic_suite, tmp_path):
+    # the reference metric is the round one on the path's grid; headers no
+    # longer carry it, and older headers that do still load
+    sol = geodesic_suite["sweep"][1e-2]
+    jp, cp = tmp_path / "st.json", tmp_path / "st.csv"
+    save_spacetime(sol, jp, cp)
+    header = load_json(jp)
+    assert "background" not in header
+    header["background"] = sol.background.to_dict()
+    dump_json(header, jp)
+    back = load_spacetime(jp)
+    assert np.array_equal(back.background.values, kl.fubini_study_potential(sol.grid).values)
+    assert np.array_equal(monge_ampere_residual(back), monge_ampere_residual(sol))
 
 
 def test_sweep_requires_positive_eps(ke_pair):

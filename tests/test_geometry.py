@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,3 +141,15 @@ def test_stencils_second_order():
     f = np.sin(s)
     assert np.max(np.abs(derivative(f, grid.ds) - np.cos(s))) < 5e-4
     assert np.max(np.abs(second_derivative(f, grid.ds) + np.sin(s))) < 5e-3
+
+
+def test_truncation_warning_measures_tail_mass():
+    # the tails beyond [-15, 15] hold 6.1e-7 of the round metric's mass and
+    # 6.9e-7 of its tau = 0.5 pullback's; beyond [-10, 10] it is 9.1e-5
+    fs = kl.fubini_study_potential(kl.SGrid(-15.0, 15.0, 513))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fiber_geometry(fs)
+        fiber_geometry(kl.pullback_potential(fs, 0.5))
+    with pytest.warns(UserWarning, match="weighted measure not negligible"):
+        fiber_geometry(kl.fubini_study_potential(kl.SGrid(-10.0, 10.0, 513)))

@@ -1,8 +1,9 @@
 """Property tests of the discrete theory over random convex potentials:
 lambda_1 >= 1, the slope mode at eigenvalue exactly 1, Parseval for the
 eigen-expansion, a nonnegative spectral defect, convexity of the Ding
-functional along the exact geodesic between two such potentials, and that
-geodesic's root solve against a plain per-row bisection."""
+functional along the exact geodesic and along epsilon-geodesics between two
+such potentials, and that geodesic's root solve against a plain per-row
+bisection."""
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,17 @@ def test_ding_convex_along_geodesic(u0, u1):
     # D'' >= 0 along the exact geodesic, and its spectral defect piece too
     rep = ding_derivatives(legendre_path(u0, u1, 17))
     assert rep.dsecond.min() >= -1e-9
+    assert rep.int_delta_exp.min() >= -1e-9
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(convex_potentials(), convex_potentials(), st.sampled_from([1e-1, 1e-2]))
+def test_ding_convex_along_epsilon_geodesic(u0, u1, eps):
+    # D'' >= -eps along the eps-geodesic (its f-term integrates to exactly
+    # eps * Vol against omega), and both e^{-phi} pieces stay nonnegative
+    rep = ding_derivatives(kl.solve_epsilon_geodesic(u0, u1, eps, 17))
+    assert rep.dsecond.min() >= -eps
+    assert rep.int_f_exp.min() >= -1e-9
     assert rep.int_delta_exp.min() >= -1e-9
 
 
