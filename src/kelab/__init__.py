@@ -51,7 +51,6 @@ from .functionals import (
     DingReport,
     aubin_mabuchi_energy,
     ding_derivatives,
-    ding_functional,
     f_functional,
     fatou_subsequence,
     integrated_defect,

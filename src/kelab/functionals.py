@@ -50,13 +50,6 @@ def f_functional(u: ReducedPotential, geom: FiberGeometry | None = None) -> floa
     return -float(np.log(geom.mass))
 
 
-def ding_functional(
-    u: ReducedPotential, u0: ReducedPotential, geom: FiberGeometry | None = None
-) -> float:
-    """D = -E/Vol + F (volume-normalized energy, see module docstring)."""
-    return -aubin_mabuchi_energy(u, u0) / VOLUME + f_functional(u, geom)
-
-
 @dataclass(frozen=True)
 class DingReport:
     """Per-t functional values and the pieces of the second derivative."""

@@ -24,13 +24,15 @@ Three solvers live here:
   u_tt u_ss - u_ts^2 = eps h''(s), second-order tensor stencils, Dirichlet
   rows in t, slope clamps in s (the outermost columns ride the linear
   asymptotic extension of the adjacent node), and a convexity guard in the
-  line search.  Its linear solves are Newton-Krylov with a lagged
-  factorisation: one sparse LU, in a fill-reducing minimum-degree order,
-  right-preconditions GMRES on later Jacobians (and on the next epsilon of
-  a sweep) until GMRES needs more than ``_KRYLOV_CAP`` iterations.  GMRES
-  stops on the true residual, the test a step must pass.  A factor built at
-  the degenerate exact-geodesic start preconditions nothing later and is
-  released after its own step.
+  line search.  Its Jacobian, the linearisation of u_tt u_ss - u_ts^2, is
+  formed per step from four 1-D stencils: Kronecker products held across
+  steps would raise peak memory next to the lagged LU.  Its linear solves
+  are Newton-Krylov with a lagged factorisation: one sparse LU, in a
+  fill-reducing minimum-degree order, right-preconditions GMRES on later
+  Jacobians (and on the next epsilon of a sweep) until GMRES needs more
+  than ``_KRYLOV_CAP`` iterations.  GMRES stops on the true residual, the
+  test a step must pass.  A factor built at the degenerate exact-geodesic
+  start preconditions nothing later and is released after its own step.
 """
 from __future__ import annotations
 
@@ -114,6 +116,7 @@ def _default_ke_guess(grid: SGrid) -> np.ndarray:
     return s + np.sqrt(s * s + 4.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_ke(
     grid: SGrid,
     tol: float = 1e-10,
@@ -127,8 +130,8 @@ def solve_ke(
     round background b = 2 log(1 + e^s), so that second-difference round-off
     does not scale with the linear growth of u; b', b'' enter in closed form.
     Returns the potential (and an info dict when ``full_output``).  Raises
-    ConvergenceError if the residual does not reach ``tol`` in ``max_iter``
-    damped steps.
+    ConvergenceError if the residual is not finite at the start (overflow) or
+    does not reach ``tol`` in ``max_iter`` damped steps.
     """
     if not tol > 0.0:  # NaN included
         raise ValidationError("tol must be positive")
@@ -199,6 +202,8 @@ def solve_ke(
     history = []
     g, rho, q = system(v)
     res = float(np.max(np.abs(g)))
+    if not math.isfinite(res):
+        raise ConvergenceError(f"KE residual is not finite ({res}) at the start")
     history.append(res)
     it = 0
     while res > tol and it < max_iter:
@@ -422,6 +427,32 @@ def monge_ampere_residual(spacetime: SpacetimePotential) -> np.ndarray:
     return dtt * dss - dts * dts - spacetime.epsilon * hpp[1:-1]
 
 
+def _stencils_1d(mi: int, ni: int):
+    """Unscaled second and central first differences T2, T1 over the interior
+    times (the Dirichlet rows drop out) and S2, S1 over the interior columns
+    (each clamped outer column folds onto the interior column next to it)."""
+    t2 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(mi, mi))
+    t1 = sp.diags([-1.0, 1.0], [-1, 1], shape=(mi, mi))
+    fold = np.zeros(ni)
+    fold[0], fold[-1] = -1.0, 1.0
+    s2 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(ni, ni)) + sp.diags(np.abs(fold))
+    s1 = sp.diags([-1.0, 1.0], [-1, 1], shape=(ni, ni)) + sp.diags(fold)
+    return t2, t1, s2, s1
+
+
+def _ma_jacobian(stencils, dtt, dss, dts, dt: float, ds: float):
+    """Linearisation of u_tt u_ss - u_ts^2 in the interior unknowns, flattened
+    row-major (CSC): diag(u_ss) T2 x I / dt^2 + diag(u_tt) I x S2 / ds^2
+    - 2 diag(u_ts) T1 x S1 / (4 dt ds), x the Kronecker product."""
+    t2, t1, s2, s1 = stencils
+    eye_t, eye_s = sp.identity(t2.shape[0]), sp.identity(s2.shape[0])
+    return (
+        sp.diags(dss.ravel() / (dt * dt)) @ sp.kron(t2, eye_s)
+        + sp.diags(dtt.ravel() / (ds * ds)) @ sp.kron(eye_t, s2)
+        - sp.diags(2.0 * dts.ravel() / (4.0 * dt * ds)) @ sp.kron(t1, s1)
+    ).tocsc()
+
+
 def _clamp_increments(inc0: float, inc1: float, linear_part: float, t_grid):
     """Boundary-column increments along the path.
 
@@ -518,11 +549,12 @@ def solve_epsilon_geodesic(
     misses it within ``_KRYLOV_CAP`` iterations the Jacobian is factored
     afresh and solved directly.  Ridge retries are always factored afresh,
     so each Newton iteration factors at most once plus once per ridge retry.
-    When the start is the exact geodesic (``initial`` None, of epsilon 0 or
-    of another shape), a factor built on the first step is released after
-    it: that Jacobian is singular along the characteristic direction and
-    preconditions no later one.  ``info`` (``full_output``) counts the
-    Newton iterations, factorisations, GMRES iterations and ridge retries.
+    When the start is the exact geodesic (``initial`` None or of epsilon 0),
+    a factor built on the first step is released after it: that Jacobian is
+    singular along the characteristic direction and preconditions no later
+    one.  An ``initial`` on another grid or not of shape (m, n) is a
+    ValidationError.  ``info`` (``full_output``) counts the Newton
+    iterations, factorisations, GMRES iterations and ridge retries.
     """
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
@@ -553,51 +585,23 @@ def solve_epsilon_geodesic(
         Uc[1:-1, -1] = Uc[1:-1, -2] + inc_right[1:-1]
         return Uc
 
-    if initial is not None and initial.values.shape == (m, n):
+    if initial is None:
+        U = rebuild(np.array(legendre_path(u0, u1, m).values))
+        degenerate = True
+    elif initial.grid == grid and initial.values.shape == (m, n):
         U = rebuild(np.array(initial.values))
         degenerate = initial.epsilon == 0.0
     else:
-        U = rebuild(np.array(legendre_path(u0, u1, m).values))
-        degenerate = True
+        raise ValidationError(f"initial path does not match the endpoints' grid and m={m}")
 
     mi, ni = m - 2, n - 2
     hin = hpp[1:-1]
-
-    # index helpers for sparse assembly; the eliminated boundary columns
-    # redirect their stencil weight onto the adjacent interior column
-    jj, ii = np.meshgrid(np.arange(mi), np.arange(ni), indexing="ij")
-    flat = (jj * ni + ii).ravel()
-
-    def assemble(dtt, dss, dts):
-        rows, cols, vals = [], [], []
-
-        def add(dj, di, coeff):
-            j2 = jj + dj
-            i2 = np.clip(ii + di, 0, ni - 1)
-            keep = (j2 >= 0) & (j2 < mi)
-            rows.append(flat[keep.ravel()])
-            cols.append((j2 * ni + i2).ravel()[keep.ravel()])
-            vals.append(coeff[keep].ravel())
-
-        add(0, 0, -2.0 * dss / (dt * dt) - 2.0 * dtt / (ds * ds))
-        add(1, 0, dss / (dt * dt))
-        add(-1, 0, dss / (dt * dt))
-        add(0, 1, dtt / (ds * ds))
-        add(0, -1, dtt / (ds * ds))
-        c = -2.0 * dts / (4.0 * dt * ds)
-        add(1, 1, c)
-        add(-1, -1, c)
-        add(1, -1, -c)
-        add(-1, 1, -c)
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(mi * ni, mi * ni),
-        )
-        return mat.tocsc()
-
+    stencils = _stencils_1d(mi, ni)
     dtt, dss, dts = _spacetime_derivatives(U, dt, ds)
     res = dtt * dss - dts * dts - epsilon * hin
     rnorm = float(np.max(np.abs(res)))
+    if not math.isfinite(rnorm):
+        raise ConvergenceError(f"geodesic residual is not finite ({rnorm}) at the start")
     target = max(min(tol, 1e-10), 3e-12)
     history = [rnorm]
     it = 0
@@ -617,7 +621,7 @@ def solve_epsilon_geodesic(
         factor = LaggedLU()
     n_lu = n_krylov = n_ridge = 0
     while rnorm > target and it < max_iter:
-        jac = assemble(dtt, dss, dts)
+        jac = _ma_jacobian(stencils, dtt, dss, dts, dt, ds)
         diag = jac.diagonal()
         rhs = -res.ravel()
         accepted = False
@@ -675,7 +679,7 @@ def solve_epsilon_geodesic(
             f"geodesic Newton did not converge (eps={epsilon}, residual {rnorm:.3e})"
         )
     # space-time convexity must hold at every interior node
-    if np.min(dtt * dss - dts * dts) <= 0.0 or np.min(dss) <= 0.0:
+    if not (np.min(dtt * dss - dts * dts) > 0.0 and np.min(dss) > 0.0):  # NaN included
         raise ConvergenceError("solution lost space-time positivity")
     out = SpacetimePotential(t_grid, grid, U, epsilon)
     if full_output:

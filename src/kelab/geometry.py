@@ -140,7 +140,10 @@ class ReducedPotential:
             )
 
     def validate(self) -> None:
-        """Check Kahler positivity and the moment-interval slope bounds."""
+        """Check finiteness, Kahler positivity and the moment-interval slope bounds."""
+        if not np.all(np.isfinite(self.values)):
+            i = int(np.argmin(np.isfinite(self.values)))
+            raise ValidationError(f"potential value {self.values[i]} at index {i} is not finite")
         ds = self.grid.ds
         upp = second_derivative(self.values, ds)
         bad = np.nonzero(upp[1:-1] <= 0.0)[0]

@@ -42,6 +42,11 @@ from .quadrature import (
 )
 from .spectral import assemble_weighted_laplacian, eigendecompose, split_box
 
+# cluster_analysis: a mode carries the limit when its mass exceeds this share
+# of the velocity norm; a velocity norm below the floor is a trivial limit
+_MASS_FLOOR_FRACTION = 0.02
+_TRIVIAL_NORM_FLOOR = 1e-6
+
 def _unit_threshold(eps: float) -> float:
     # operational meaning of "the eigenvalue converges to 1", scaled to the
     # O(eps) defect size
@@ -178,12 +183,7 @@ class ClusterReport:
     n_clusters: int
 
 
-def cluster_analysis(
-    trace: EpsilonTrace,
-    gap_tol: float | None = None,
-    mass_floor_fraction: float = 0.02,
-    trivial_norm_floor: float = 1e-6,
-) -> ClusterReport:
+def cluster_analysis(trace: EpsilonTrace, gap_tol: float | None = None) -> ClusterReport:
     """Classify which eigenvalues trend to 1 and which modes carry mass.
 
     Mass clusters replicate the truncation bookkeeping of the limit argument:
@@ -216,10 +216,10 @@ def cluster_analysis(
     mult = _unit_mult(trace, gap_tol)
     gaps = np.diff(trace.smallest.eigenvalues)
 
-    if norm_sq < trivial_norm_floor:
+    if norm_sq < _TRIVIAL_NORM_FLOOR:
         return ClusterReport("trivial", k_to_one, (), 0, masses[-1], gaps, mult, 0)
 
-    carrying = masses[-1] > mass_floor_fraction * norm_sq
+    carrying = masses[-1] > _MASS_FLOOR_FRACTION * norm_sq
     if k_to_one == k and float(masses[-1].sum()) < 0.25 * norm_sq:
         # all eigenvalues at 1 yet every fixed window misses the velocity:
         # mass escapes to ever-higher modes

@@ -90,6 +90,31 @@ def test_spectrum_rejects_malformed_file(tmp_path):
     assert main(["spectrum", "--potential", str(missing), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_spectrum_rejects_non_finite_values(tmp_path, capsys, bad):
+    # the json loader reads NaN and Infinity literals
+    grid = kl.SGrid(-15.0, 15.0, 129)
+    d = kl.fubini_study_potential(grid).to_dict()
+    d["values"][40] = bad
+    (tmp_path / "bad.json").write_text(json.dumps(d))
+    code = main(["spectrum", "--potential", str(tmp_path / "bad.json"),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "index 40 is not finite" in err
+
+
+def test_ke_solve_overflowing_grid_is_solver_failure(tmp_path, capsys):
+    # a finite s_range whose spacing overflows: the residual is NaN, which
+    # fails every comparison with tol
+    code = main(["ke-solve", "--n", "129", "--s-range", "-15", "1e308",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "KE residual is not finite" in err
+    assert not (tmp_path / "o" / "ke_potential.json").exists()
+
+
 def test_spectrum_on_exactly_singular_refinement_shift(tmp_path):
     # the fifth seeded draw at n=257 hits an exactly singular inverse-iteration
     # shift next to ~1e10 diagonal entries

@@ -8,8 +8,11 @@ import kelab.geodesic as geodesic
 from kelab.errors import ValidationError
 from kelab.geodesic import (
     LaggedLU,
+    SpacetimePotential,
+    _spacetime_derivatives,
     ke_residual,
     legendre_geodesic,
+    legendre_path,
     load_spacetime,
     monge_ampere_residual,
     save_spacetime,
@@ -318,6 +321,124 @@ def test_sweep_drops_the_degenerate_start_factor(ke_129, monkeypatch):
     for eps, sol in sweep.items():
         assert infos[eps]["residual"] <= 1e-10
         assert np.max(np.abs(monge_ampere_residual(sol))) <= 1e-10
+
+
+def test_sweep_counts_at_n129(ke_129):
+    # the sweep's Newton / LU / GMRES counts per eps (1e-1, 1e-2, 1e-3);
+    # they hang on round-off in the Jacobian, so a rewrite of its assembly
+    # must leave them as they are
+    u0 = ke_129
+    _, infos = kl.solve_epsilon_sweep(
+        u0, kl.pullback_potential(u0, 0.5), (1e-1, 1e-2, 1e-3), 17, full_output=True
+    )
+    counts = [
+        (info["iterations"], info["factorizations"], info["gmres_iterations"])
+        for _, info in sorted(infos.items(), reverse=True)
+    ]
+    assert counts == [(5, 2, 40), (3, 0, 16), (2, 0, 6)]
+
+
+def _nine_point_jacobian(dtt, dss, dts, dt, ds):
+    """Reference: the 9-point space-time stencil written out entry by entry,
+    the eliminated boundary columns redirecting their weight onto the
+    adjacent interior column."""
+    mi, ni = dtt.shape
+    jj, ii = np.meshgrid(np.arange(mi), np.arange(ni), indexing="ij")
+    flat = (jj * ni + ii).ravel()
+    rows, cols, vals = [], [], []
+
+    def add(dj, di, coeff):
+        j2 = jj + dj
+        i2 = np.clip(ii + di, 0, ni - 1)
+        keep = (j2 >= 0) & (j2 < mi)
+        rows.append(flat[keep.ravel()])
+        cols.append((j2 * ni + i2).ravel()[keep.ravel()])
+        vals.append(coeff[keep].ravel())
+
+    add(0, 0, -2.0 * dss / (dt * dt) - 2.0 * dtt / (ds * ds))
+    add(1, 0, dss / (dt * dt))
+    add(-1, 0, dss / (dt * dt))
+    add(0, 1, dtt / (ds * ds))
+    add(0, -1, dtt / (ds * ds))
+    c = -2.0 * dts / (4.0 * dt * ds)
+    add(1, 1, c)
+    add(-1, -1, c)
+    add(1, -1, -c)
+    add(-1, 1, -c)
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mi * ni, mi * ni),
+    )
+    return mat.tocsc()
+
+
+@pytest.fixture(scope="module")
+def jacobian_paths(ke_129):
+    u0 = ke_129
+    u1 = kl.pullback_potential(u0, 0.5)
+    rng = np.random.default_rng(5)
+    a = kl.random_convex_potential(u0.grid, rng)
+    b = kl.random_convex_potential(u0.grid, rng)
+    return {
+        "legendre": legendre_path(u0, u1, 17),
+        "eps=0.1": solve_epsilon_geodesic(u0, u1, 0.1, 17),
+        "random": legendre_path(a, b, 17),
+    }
+
+
+@pytest.mark.parametrize("which", ["legendre", "eps=0.1", "random"])
+def test_jacobian_is_the_nine_point_linearisation(jacobian_paths, which):
+    path = jacobian_paths[which]
+    U, dt, ds = path.values, path.dt, path.grid.ds
+    m, n = U.shape
+    derivs = _spacetime_derivatives(U, dt, ds)
+    jac = geodesic._ma_jacobian(geodesic._stencils_1d(m - 2, n - 2), *derivs, dt, ds)
+    ref = _nine_point_jacobian(*derivs, dt, ds)
+    assert jac.format == "csc"
+    jac.sort_indices()
+    ref.sort_indices()
+    assert np.array_equal(jac.indptr, ref.indptr)
+    assert np.array_equal(jac.indices, ref.indices)
+    scale = np.max(np.abs(ref.data))
+    assert np.max(np.abs(jac.data - ref.data)) <= 4.0 * np.finfo(float).eps * scale
+    # u_tt u_ss - u_ts^2 is quadratic in U, so its central difference along
+    # an interior direction v (the clamped columns follow their neighbours)
+    # is exact up to round-off (about 7e-13 scale here)
+    v = np.zeros_like(U)
+    v[1:-1, 1:-1] = np.random.default_rng(0).standard_normal((m - 2, n - 2))
+    v[:, 0], v[:, -1] = v[:, 1], v[:, -2]
+
+    def residual(W):
+        dtt, dss, dts = _spacetime_derivatives(W, dt, ds)
+        return dtt * dss - dts * dts
+
+    fd = 0.5 * (residual(U + v) - residual(U - v))
+    assert np.max(np.abs(jac @ v[1:-1, 1:-1].ravel() - fd.ravel())) <= 1e-10 * scale
+
+
+def test_epsilon_solver_rejects_mismatched_initial(ke_129):
+    u0 = ke_129
+    u1 = kl.pullback_potential(u0, 0.5)
+    path = legendre_path(u0, u1, 17)
+    other = SpacetimePotential(
+        path.t_grid, kl.SGrid(-14.0, 14.0, 129), path.values, 0.0
+    )
+    for initial, m in ((path, 33), (other, 17)):
+        with pytest.raises(ValidationError, match="does not match"):
+            solve_epsilon_geodesic(u0, u1, 0.1, m, initial=initial)
+
+
+def test_non_finite_start_is_convergence_error(ke_129):
+    # NaN fails every comparison, so a NaN residual must not end a solve
+    with pytest.raises(kl.ConvergenceError, match="not finite"):
+        solve_ke(kl.SGrid(-15.0, 1e308, 129))
+    u0 = ke_129
+    u1 = kl.pullback_potential(u0, 0.5)
+    values = np.array(legendre_path(u0, u1, 17).values)
+    values[8, 64] = np.nan
+    start = SpacetimePotential(np.linspace(0.0, 1.0, 17), u0.grid, values, 0.1)
+    with pytest.raises(kl.ConvergenceError, match="not finite"):
+        solve_epsilon_geodesic(u0, u1, 0.1, 17, initial=start)
 
 
 @pytest.mark.parametrize("tau", [-7.0, 7.0, 7.5])
