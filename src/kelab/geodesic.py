@@ -59,7 +59,7 @@ from .geometry import (
     time_derivatives,
     trapezoid_weights,
 )
-from .serialize import dump_json, format_float, load_json
+from .serialize import dump_json, format_floats, load_json
 
 _PIN_U0 = 2.0 * math.log(2.0)
 
@@ -793,7 +793,7 @@ def save_spacetime(spacetime: SpacetimePotential, json_path, csv_path) -> None:
     dump_json(header, json_path)
     with open(csv_path, "w") as fh:
         for row in spacetime.values:
-            fh.write(",".join(format_float(x) for x in row) + "\n")
+            fh.write(",".join(format_floats(row)) + "\n")
 
 
 def load_spacetime(json_path, csv_path=None) -> SpacetimePotential:

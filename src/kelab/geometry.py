@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import GridValidationError, PositivityError, ValidationError
 
@@ -256,6 +255,9 @@ class PotentialSpline:
     """
 
     def __init__(self, u: ReducedPotential):
+        # not at module scope: it loads scipy.special and scipy.optimize (~0.5 s)
+        from scipy.interpolate import make_interp_spline
+
         self.grid = u.grid
         self.spline = make_interp_spline(u.grid.nodes(), u.values, k=5)
         s0, s1 = u.grid.s_min, u.grid.s_max

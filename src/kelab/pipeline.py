@@ -148,10 +148,10 @@ def run_ke_solve(config: RunConfig) -> dict:
     gauge-pinned ones), so it sits at the local truncation level of the grid
     rather than at the Newton tolerance.
     """
-    out = _ensure_outdir(config)
     grid = config.grid()
     u, info = solve_ke(grid, tol=min(config.tol, 1e-9), full_output=True)
     res = ke_residual(u)
+    out = _ensure_outdir(config)
     dump_json(u.to_dict(), os.path.join(out, "ke_potential.json"))
     report = {
         "iterations": info["iterations"],
@@ -165,7 +165,6 @@ def run_ke_solve(config: RunConfig) -> dict:
 
 def run_spectrum(config: RunConfig, potential_file: str, dump_eigenfunctions: bool = False) -> dict:
     """Spectrum and eigenfunction-identity residuals for a stored potential."""
-    out = _ensure_outdir(config)
     try:
         u = ReducedPotential.from_dict(load_json(potential_file))
     except OSError:
@@ -182,6 +181,7 @@ def run_spectrum(config: RunConfig, potential_file: str, dump_eigenfunctions: bo
         [float(i + 1), float(pack.eigenvalues[i]), residuals[i]]
         for i in range(pack.k)
     ]
+    out = _ensure_outdir(config)
     write_csv(os.path.join(out, "spectrum.csv"), ["i", "lambda", "futaki_residual"], rows)
     if dump_eigenfunctions:
         hdr = ["s"] + [f"e{j + 1}" for j in range(pack.k)]
@@ -203,12 +203,12 @@ def run_full_pipeline(config: RunConfig) -> dict:
     """Run every stage and emit the pipeline report plus intermediate files."""
     if len(config.eps) < 3:
         raise ValidationError("cluster analysis needs at least 3 epsilon values")
-    out = _ensure_outdir(config)
     grid = config.grid()
 
     # stage 1: the two Einstein metrics
     u0 = solve_ke(grid, tol=min(config.tol, 1e-9))
     u1 = pullback_potential(u0, config.tau)
+    out = _ensure_outdir(config)
     dump_json(u0.to_dict(), os.path.join(out, "ke_potential.json"))
     dump_json(u1.to_dict(), os.path.join(out, "pullback_potential.json"))
 
@@ -341,7 +341,7 @@ def run_full_pipeline(config: RunConfig) -> dict:
                     key: solver_info[e][key]
                     for key in (
                         "iterations", "factorizations", "gmres_iterations",
-                        "ridge_retries",
+                        "ridge_retries", "history",
                     )
                 }
                 for e in eps_desc

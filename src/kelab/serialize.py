@@ -21,6 +21,16 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def format_floats(values: Iterable[float]) -> list[str]:
+    """``format_float`` of every value, in one pass over the sequence."""
+    out = [format(x, ".17g") for x in map(float, values)]
+    if "inf" in out or "-inf" in out:
+        raise ValueError("refusing to serialize infinity")
+    if "nan" in out:
+        out = ["null" if x == "nan" else x for x in out]
+    return out
+
+
 def _dump(obj: Any, out: list[str], indent: int) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -38,6 +48,11 @@ def _dump(obj: Any, out: list[str], indent: int) -> None:
         seq = list(obj)
         if not seq:
             out.append("[]")
+            return
+        if all(isinstance(v, (float, np.floating)) for v in seq):
+            inner = pad + "  "
+            out.append("[\n" + inner + (",\n" + inner).join(format_floats(seq)))
+            out.append("\n" + pad + "]")
             return
         out.append("[\n")
         for i, v in enumerate(seq):
@@ -78,7 +93,7 @@ def write_csv(path, header: Iterable[str], rows: Iterable[Iterable[float]]) -> N
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_float(x) for x in row) + "\n")
+            fh.write(",".join(format_floats(row)) + "\n")
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:

@@ -115,6 +115,34 @@ def test_ke_solve_overflowing_grid_is_solver_failure(tmp_path, capsys):
     assert not (tmp_path / "o" / "ke_potential.json").exists()
 
 
+def test_solver_failure_leaves_no_output_dir(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["ke-solve", "--n", "129", "--s-range", "-15", "1e308", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_failure_before_first_write_leaves_no_output_dir(tmp_path, monkeypatch, capsys):
+    import kelab.pipeline
+
+    grid = kl.SGrid(-15.0, 15.0, 129)
+    dump_json(kl.fubini_study_potential(grid).to_dict(), tmp_path / "round.json")
+    code = main(["spectrum", "--potential", str(tmp_path / "round.json"),
+                 "--k", "200", "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "s").exists()
+
+    def fail(*args, **kwargs):
+        raise kl.ConvergenceError("KE Newton did not converge")
+
+    monkeypatch.setattr(kelab.pipeline, "solve_ke", fail)
+    assert main(["pipeline", "--n", "129", "--m", "17", "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "p").exists()
+
+
 def test_spectrum_on_exactly_singular_refinement_shift(tmp_path):
     # the fifth seeded draw at n=257 hits an exactly singular inverse-iteration
     # shift next to ~1e10 diagonal entries
@@ -178,10 +206,15 @@ def test_pipeline_report_schema(small_pipeline):
     newton = rep["convergence"]["eps_newton"]
     assert set(newton) == {"1e-01", "3e-02", "1e-02"}
     for counts in newton.values():
+        history = counts.pop("history")
         assert set(counts) == {
             "iterations", "factorizations", "gmres_iterations", "ridge_retries"
         }
         assert all(isinstance(v, int) and v >= 0 for v in counts.values())
+        # the residual before each Newton step and after the last one
+        assert len(history) == counts["iterations"] + 1
+        assert all(isinstance(r, float) and r >= 0.0 for r in history)
+        assert history[-1] < 1e-9 < history[0]
         # each Newton iteration factors at most once, plus once per ridge retry
         assert counts["factorizations"] <= counts["iterations"] + counts["ridge_retries"]
     assert sum(c["factorizations"] for c in newton.values()) < sum(
@@ -398,6 +431,27 @@ def test_float_formatting_17g(small_pipeline):
     text = (small_pipeline / "report.json").read_text()
     rep = json.loads(text)
     assert isinstance(rep["automorphism"]["a"], float)
+
+
+def test_spline_free_commands_do_not_load_scipy_interpolate(tmp_path):
+    # only a spline (Legendre path, pullback) needs scipy.interpolate, which
+    # pulls in scipy.special and scipy.optimize
+    src = os.path.dirname(os.path.dirname(kelab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, kelab as kl, kelab.cli\n"
+            "def loaded(): return 'scipy.interpolate' in sys.modules\n"
+            "print(loaded())\n"
+            "cfg = kl.RunConfig(n=129, k=4, out=sys.argv[1])\n"
+            "kl.run_ke_solve(cfg)\n"
+            "kl.run_spectrum(cfg, sys.argv[1] + '/ke_potential.json')\n"
+            "print(loaded())\n"
+            "kl.pullback_potential(kl.fubini_study_potential(cfg.grid()), 0.5)\n"
+            "print(loaded())\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
+    assert (tmp_path / "spectrum.csv").exists()
 
 
 def test_python_dash_m_kelab():
